@@ -7,7 +7,7 @@ alpha-lossy kernelization with solution lifting.  The CLI lives in
 neartree.harness (entry point: `neartree`).
 """
 
-from .errors import InputError, ParseError, SizeCapError
+from .errors import InputError, InternalError, ParseError, SizeCapError
 from .families import (
     FunctionFamily,
     build_hash_splitter,
@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     Instance,
     analyze_connectivity,
+    biconnected_blocks,
     complete_graph,
     contract_edges,
     cycle_graph,
@@ -78,6 +79,7 @@ __all__ = [
     "Graph",
     "HIRPartition",
     "InputError",
+    "InternalError",
     "Instance",
     "KernelTrace",
     "ParseError",
@@ -87,6 +89,7 @@ __all__ = [
     "WitnessCheck",
     "WitnessStructure",
     "analyze_connectivity",
+    "biconnected_blocks",
     "build_hash_splitter",
     "build_interval_splitter",
     "build_universal_greedy",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graph import Graph
 
 
@@ -112,6 +112,6 @@ def min_shatter(g: Graph, x: Iterable[int], budget: int) -> Shatter | None:
     core = min_connected_vertex_cover(aug, min(budget, len(xs)))
     if core is None:
         return None
-    assert all(p not in core for _, p in pendant_edges), "pendant entered a minimum cover"
-    assert frozenset(anchors) <= core
+    if any(p in core for _, p in pendant_edges) or not frozenset(anchors) <= core:
+        raise InternalError("minimum cover took a pendant or missed a boundary vertex")
     return Shatter(core, xs - core)

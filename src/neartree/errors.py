@@ -9,6 +9,10 @@ class SizeCapError(ValueError):
     """An exact computation would exceed its desk-scale cap."""
 
 
+class InternalError(RuntimeError):
+    """A soundness check failed: a bug in the package, never an answer."""
+
+
 class ParseError(ValueError):
     """A text input could not be parsed; carries the offending line number."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, log
 
 import numpy as np
@@ -150,8 +150,8 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
     if k == 0 or q == 1:
         return FunctionFamily(n, q, UNIVERSAL, k, ((1,) * n,), meta=meta)
     if k == n:
-        full = [tuple(f) for f in _all_functions(n, q)]
-        return FunctionFamily(n, q, UNIVERSAL, k, tuple(full), meta=meta + "-full")
+        full = tuple(product(range(1, q + 1), repeat=n))
+        return FunctionFamily(n, q, UNIVERSAL, k, full, meta=meta + "-full")
 
     subsets = [list(s) for s in combinations(range(n), k)]
     weights = np.array([q ** (k - 1 - i) for i in range(k)], dtype=np.int64)
@@ -219,19 +219,6 @@ def _bespoke_repair(n: int, q: int, subsets, uncovered) -> tuple[int, ...]:
     raise AssertionError("repair called with nothing uncovered")
 
 
-def _all_functions(n: int, q: int):
-    f = [1] * n
-    while True:
-        yield tuple(f)
-        i = n - 1
-        while i >= 0 and f[i] == q:
-            f[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        f[i] += 1
-
-
 # ---------------------------------------------------------------------------
 # composition
 
@@ -271,24 +258,11 @@ def compose_universal(n: int, k: int, q: int, seed: int = 0) -> FunctionFamily:
         for fb in fam_b.functions:
             block_of = [fb[fa[x] - 1] for x in range(n)]  # block index per domain point
             hashed = [fa[x] for x in range(n)]
-            for picks in _tuples(len(d_funcs), b):
+            for picks in product(range(len(d_funcs)), repeat=b):
                 g = [d_funcs[i] for i in picks]
                 funcs.append(tuple(g[block_of[x] - 1][hashed[x] - 1] for x in range(n)))
     return FunctionFamily(n, q, UNIVERSAL, k, _dedupe(funcs),
                           meta=f"compose({n},{k},{q};b={b},part={part})")
-
-
-def _tuples(base: int, length: int):
-    idx = [0] * length
-    while True:
-        yield tuple(idx)
-        i = length - 1
-        while i >= 0 and idx[i] == base - 1:
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        idx[i] += 1
 
 
 # ---------------------------------------------------------------------------

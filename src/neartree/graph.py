@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 Edge = tuple[int, int]
 MergeMap = dict[int, int]
@@ -128,8 +128,7 @@ def star_graph(center: int, leaves: Iterable[int]) -> Graph:
 class Instance:
     """A solving unit: graph, contraction budget k, excess allowance ell.
 
-    ell is always nonnegative; k may go negative transiently inside the
-    solver recursion (where it immediately triggers the k < 0 rejection rule).
+    ell is always nonnegative; a negative k is allowed and is always a no.
     """
 
     graph: Graph
@@ -194,6 +193,49 @@ def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, Merge
     return Graph(new_vertices, frozenset(new_edges)), merge
 
 
+def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
+    """The biconnected blocks of g: every edge lies in exactly one, a bridge
+    is a block of its own, and isolated vertices lie in none.
+
+    One iterative depth-first pass with low points (Hopcroft & Tarjan,
+    "Efficient algorithms for graph manipulation", CACM 1973): when the
+    subtree of w cannot reach above its parent v, the edges stacked since
+    (v, w) form a block.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    blocks: list[Graph] = []
+    for root in sorted(g.vertices):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(g.adjacency[root]))]
+        edge_stack: list[Edge] = []
+        while stack:
+            v, parent, todo = stack[-1]
+            for w in todo:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    edge_stack.append(edge(v, w))
+                    stack.append((w, v, iter(g.adjacency[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edge_stack.append(edge(v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    closing = edge(parent, v)
+                    block = []
+                    while not block or block[-1] != closing:
+                        block.append(edge_stack.pop())
+                    blocks.append(Graph(frozenset(x for e in block for x in e), frozenset(block)))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class ConnectivityReport:
     components: tuple[frozenset[int], ...]
@@ -202,14 +244,16 @@ class ConnectivityReport:
 
 
 def analyze_connectivity(g: Graph) -> ConnectivityReport:
-    """Components, cut vertices, and 2-connectivity (connected, >= 3 vertices, no cut vertex)."""
+    """Components, cut vertices (the vertices in two or more blocks), and
+    2-connectivity (connected, >= 3 vertices, no cut vertex)."""
     comps = g.components()
-    base = len(comps)
-    cuts = frozenset(
-        v for v in g.vertices if len(g.without([v]).components()) > base
-    )
-    two = base == 1 and g.n >= 3 and not cuts
-    return ConnectivityReport(comps, cuts, two)
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for b in biconnected_blocks(g):
+        cuts |= seen & b.vertices
+        seen |= b.vertices
+    two = len(comps) == 1 and g.n >= 3 and not cuts
+    return ConnectivityReport(comps, frozenset(cuts), two)
 
 
 def _spanning_tree_edges(g: Graph) -> set[Edge]:
@@ -300,6 +344,8 @@ def near_tree_coloring(g: Graph, ell: int) -> dict[int, int]:
     if endpoints:
         coloring.update(_degeneracy_greedy_colors(g.subgraph(endpoints), 3))
 
-    assert len(set(coloring.values())) <= budget, "palette overflow"
-    assert all(coloring[u] != coloring[v] for u, v in g.edges), "coloring not proper"
+    if len(set(coloring.values())) > budget:
+        raise InternalError("near-tree coloring overflowed its palette")
+    if any(coloring[u] == coloring[v] for u, v in g.edges):
+        raise InternalError("near-tree coloring is not proper")
     return coloring

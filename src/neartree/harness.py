@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .errors import InputError, ParseError, SizeCapError
@@ -479,6 +480,9 @@ def main(argv: list[str] | None = None) -> int:
         return run(cfg)
     except (InputError, ParseError, SizeCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:  # a crash is an error, never a decision
+        traceback.print_exc()
         return 2
 
 

@@ -1,12 +1,23 @@
 """Coloring-driven solver for contracting a graph to a near-tree.
 
-Two-connected graphs are solved by iterating vertex colorings with at most
-2*ceil(sqrt(ell)) + 2 colors: the monochromatic components of a coloring are
+An instance splits exactly into its biconnected blocks: excess adds up over
+blocks, every edge lies in exactly one block, and contraction creates
+parallel edges only inside a block.  One Hopcroft-Tarjan pass finds the
+blocks.  Bridges never need a contraction.  Each other block B gets a cost
+profile c_B(e), the cheapest witness found that brings B to excess <= e for
+e = 0..ell, capped at the budget the earlier blocks leave; a min-plus
+knapsack over the profiles decides the instance, and the union of the
+chosen per-block edge sets is the solution.  The last (largest) block stops
+at the first witness that completes a feasible knapsack, so a graph with one
+block that needs contractions is scanned exactly as a 2-connected instance.
+
+Within a block, vertex colorings with at most 2*ceil(sqrt(ell)) + 2 colors
+propose witnesses: the monochromatic components of a coloring are
 classified (contract whole, keep as singletons, or split via a minimum
-shatter), assembled into a witness structure, and accepted when the cost
-fits the budget and the quotient lands in the class.  General graphs reduce
-to the two-connected case through rejection rules, degree-one deletion and
-branching at cut vertices.
+shatter) and refined into a witness structure, abandoned as soon as its
+cost passes the budget.  Contracting all but one vertex of a block always
+reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
+at least 3 vertices, the case the coloring argument covers.
 
 Soundness is unconditional: every returned solution is re-verified before it
 leaves this module.  Completeness of exhaustive mode rests on the fact that
@@ -19,22 +30,22 @@ colorings, and there are far fewer of them.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
-from .cvc import boundary, min_shatter
-from .errors import InputError, SizeCapError
+from .cvc import Shatter, boundary, min_shatter
+from .errors import InputError, InternalError, SizeCapError
 from .graph import (
-    Edge,
     Graph,
     Instance,
     analyze_connectivity,
-    contract_edges,
+    biconnected_blocks,
+    excess,
     is_near_tree,
     palette_size,
 )
-from .oracle import exact_opt
 from .witness import (
     ContractionSolution,
     WitnessStructure,
@@ -80,13 +91,7 @@ class FamilyColorings:
         seen: set[tuple[int, ...]] = set()
         out = []
         for f in self.functions:
-            relabel: dict[int, int] = {}
-            sig = []
-            for c in f:
-                if c not in relabel:
-                    relabel[c] = len(relabel)
-                sig.append(relabel[c])
-            key = tuple(sig)
+            key = tuple(map(f.index, f))  # first position of each color
             if key not in seen:
                 seen.add(key)
                 out.append(f)
@@ -198,60 +203,64 @@ def classify_component(g: Graph, x: frozenset[int],
 # ---------------------------------------------------------------------------
 # refining a component partition into a witness structure
 
-def _refine_components(g: Graph, comps: tuple[frozenset[int], ...]) -> tuple[WitnessStructure, int]:
-    """Minimum-cost witness structure obtainable from this component partition.
+def _shatter(g: Graph, x: frozenset[int], budget: int, memo: dict) -> Shatter | None:
+    """min_shatter(g, x, budget), remembered per component: the minimum does
+    not depend on the budget, and a miss stays a miss under a smaller one."""
+    if x in memo:
+        asked, sh = memo[x]
+        if sh is not None:
+            return sh if sh.size() <= budget else None
+        if budget <= asked:
+            return None
+    sh = min_shatter(g, x, budget)
+    memo[x] = (budget, sh)
+    return sh
 
-    Phase 1 repeatedly contracts whole contract-all components; the working
-    graph is re-contracted before the next classification since degrees and
-    adjacencies change.  Phase 2 turns the survivors into singleton bags or
-    minimum shatters.  Budget and class membership are the caller's problem:
-    the result is the cheapest witness this partition can yield.
+
+def _refine_components(g: Graph, comps: tuple[frozenset[int], ...], budget: int,
+                       shatters: dict) -> tuple[WitnessStructure, int] | None:
+    """Minimum-cost witness structure obtainable from this component partition,
+    or None once its cost passes `budget`.
+
+    Contract-all components become one bag, all-singleton ones fall apart,
+    and the rest split at a minimum shatter whose core may hold at most
+    budget + 1 - spent vertices.  Every component is classified in g itself:
+    contracting a contract-all component changes neither the induced
+    subgraph, the boundary nor the degree-2 interior of any other component,
+    nor which components touch its path ends.  `shatters` remembers minimum
+    shatters across the calls of one scan.  Class membership is the caller's
+    problem.
     """
-    work = g
-    preimage: dict[int, frozenset[int]] = {v: frozenset({v}) for v in g.vertices}
-    parts: list[frozenset[int]] = sorted(comps, key=min)
-
-    while True:
-        chosen = None
-        for x in parts:
-            if len(x) >= 2 and classify_component(work, x, parts).kind == CONTRACT_ALL:
-                chosen = x
-                break
-        if chosen is None:
-            break
-        spanning = sorted(work.subgraph(chosen).edges)
-        work, _ = contract_edges(work, spanning)
-        rep = min(chosen)
-        preimage[rep] = frozenset().union(*(preimage[v] for v in chosen))
-        parts = [p if p != chosen else frozenset({rep}) for p in parts]
-
+    parts = sorted(comps, key=min)
+    spent = 0
     bags: list[frozenset[int]] = []
-    for x in sorted(parts, key=min):
-        case = classify_component(work, x, parts)
-        if case.kind == SHATTER:
-            sh = min_shatter(work, x, budget=len(x))
-            assert sh is not None  # the whole component is always a feasible core
-            bags.append(frozenset().union(*(preimage[v] for v in sh.core)))
-            bags.extend(preimage[v] for v in sorted(sh.singletons))
+    for x in parts:
+        case = classify_component(g, x, parts)
+        if case.kind == CONTRACT_ALL:
+            spent += len(x) - 1
+            bags.append(x)
+        elif case.kind == SHATTER:
+            sh = _shatter(g, x, budget + 1 - spent, shatters)
+            if sh is None:
+                return None
+            spent += sh.size() - 1
+            bags.append(sh.core)
+            bags.extend(frozenset({v}) for v in sorted(sh.singletons))
         else:
-            # contract-all is exhausted by phase 1; only singletons remain
-            bags.extend(preimage[v] for v in sorted(x))
-
-    structure = WitnessStructure.of(bags)
-    return structure, structure.cost()
+            bags.extend(frozenset({v}) for v in sorted(x))
+        if spent > budget:
+            return None
+    return WitnessStructure.of(bags), spent
 
 
 def refine_coloring(g: Graph, coloring: Coloring, k: int, ell: int,
                     ) -> tuple[WitnessStructure, int] | None:
     """Witness structure extracted from one coloring, or None if it costs more
     than k or its quotient is not within excess ell of a tree."""
-    comps = tuple(monochromatic_components(g, coloring))
-    structure, cost = _refine_components(g, comps)
-    if cost > k:
+    refined = _refine_components(g, tuple(monochromatic_components(g, coloring)), k, {})
+    if refined is None or not is_near_tree(quotient(g, refined[0]), ell):
         return None
-    if not is_near_tree(quotient(g, structure), ell):
-        return None
-    return structure, cost
+    return refined
 
 
 # ---------------------------------------------------------------------------
@@ -307,55 +316,38 @@ def _mask_to_set(mask: int, verts: list[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)
-def _partition_table(g: Graph):
-    """All partitions of V(g) into connected blocks, with the chromatic number
-    of the block-adjacency graph and the refinement outcome of each.
+def _connected_partitions(rest: int, adj: list[int]):
+    """Partitions of `rest` into connected blocks (as masks), lazily."""
+    if not rest:
+        yield ()
+        return
+    for block in _connected_blocks_with_min(rest, adj):
+        for tail in _connected_partitions(rest ^ block, adj):
+            yield (block, *tail)
 
-    Entries are (block_masks, block_chromatic, cost, quotient_n, quotient_m),
-    independent of (k, ell): deciding an instance is a scan for the first
-    entry with block_chromatic <= palette, cost <= k and quotient excess
-    <= ell.  The witness itself is re-derived on selection to keep the cache
-    small.
-    """
+
+def _mask_partitions(g: Graph):
+    """Every partition of V(g) into connected blocks (sorted by min id), with
+    a callable returning the chromatic number of its block-adjacency graph."""
     verts, adj = _mask_refs(g)
-    full = (1 << len(verts)) - 1
-    partitions: list[tuple[int, ...]] = []
-
-    def rec(rest: int, acc: list[int]):
-        if rest == 0:
-            partitions.append(tuple(acc))
-            return
-        for block in _connected_blocks_with_min(rest, adj):
-            acc.append(block)
-            rec(rest ^ block, acc)
-            acc.pop()
-
-    rec(full, [])
-
-    table = []
-    for masks in partitions:
+    for masks in _connected_partitions((1 << len(verts)) - 1, adj):
         blocks = tuple(sorted((_mask_to_set(m, verts) for m in masks), key=min))
-        chi = _block_chromatic(masks, adj)
-        structure, cost = _refine_components(g, blocks)
-        q = quotient(g, structure)
-        table.append((masks, chi, cost, q.n, q.m))
-    return verts, tuple(table)
+        yield blocks, partial(_block_chromatic, masks, adj)
 
 
 @lru_cache(maxsize=64)
-def _partition_lookup(g: Graph) -> dict[frozenset[frozenset[int]], tuple[int, int, int]]:
-    """Partition -> (cost, quotient_n, quotient_m), derived from the table.
+def _partition_lookup(g: Graph) -> dict[frozenset[frozenset[int]], tuple[int, int]]:
+    """Partition -> (cost, quotient excess) of its refinement, for every
+    partition of V(g) into connected blocks.
 
-    Lets the coloring modes skip re-refinement: a coloring's component
-    partition is always a partition into connected blocks, so it has a table
-    entry.
+    Lets family mode skip re-refinement across budgets: a coloring's
+    component partition is always a partition into connected blocks, so it
+    has an entry.
     """
-    verts, table = _partition_table(g)
-    out = {}
-    for masks, _, cost, qn, qm in table:
-        blocks = frozenset(_mask_to_set(m, verts) for m in masks)
-        out[blocks] = (cost, qn, qm)
+    out, shatters = {}, {}
+    for blocks, _ in _mask_partitions(g):
+        structure, cost = _refine_components(g, blocks, g.n, shatters)
+        out[frozenset(blocks)] = (cost, excess(quotient(g, structure)))
     return out
 
 
@@ -408,195 +400,152 @@ def _block_chromatic(masks: tuple[int, ...], adj: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# two-connected solving
+# one block: the witnesses a mode proposes, kept as a cost profile
 
-def _finish(g: Graph, structure: WitnessStructure, k: int, ell: int) -> ContractionSolution:
-    edges = solution_edges(g, structure)
-    check = verify_witness(g, structure, ell, k)
-    assert check.valid, f"internal: refined witness failed verification ({check.reason})"
+def _mode_partitions(b: Graph, k: int, ell: int, mode):
+    """Component partitions of block b in the order the mode proposes them,
+    each with a callable returning how many colors realize it (exhaustive
+    mode), or None when a coloring within the palette produced it."""
+    if isinstance(mode, ExhaustiveColorings):
+        if b.n > EXHAUSTIVE_VERTEX_CAP:
+            raise SizeCapError(
+                f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {b.n})")
+        yield from _mask_partitions(b)
+        return
+    q = palette_size(ell)
+    verts = sorted(b.vertices)
+    if isinstance(mode, RandomColorings):
+        rng = random.Random(mode.seed)
+        iters = mode.iterations if mode.iterations is not None else default_iterations(b, k, ell)
+        colorings = ({v: rng.randint(1, q) for v in verts} for _ in range(iters))
+    elif isinstance(mode, FamilyColorings):
+        if verts[-1] > mode.domain:
+            raise InputError("family domain too small for the vertex ids")
+        # a family built for a larger excess allowance may color past this
+        # palette; extra colors only split components further, which is
+        # sound (re-verified) and keeps the realized-assignment argument
+        q = max(q, max((max(f) for f in mode.distinct), default=q))
+        colorings = _distinct_restrictions(mode.distinct, verts)
+    else:
+        raise InputError(f"unknown mode {mode!r}")
+    seen: set[tuple[frozenset[int], ...]] = set()
+    for colors in colorings:
+        comps = tuple(monochromatic_components(b, Coloring.of(colors, q)))
+        if comps not in seen:
+            seen.add(comps)
+            yield comps, None
+
+
+def _distinct_restrictions(functions, verts: list[int]):
+    """The functions restricted to verts, one per induced partition."""
+    tried: set[tuple[int, ...]] = set()
+    for f in functions:
+        seq = [f[v - 1] for v in verts]
+        signature = tuple(map(seq.index, seq))
+        if signature not in tried:
+            tried.add(signature)
+            yield dict(zip(verts, seq))
+
+
+def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool,
+                   ) -> list[tuple[int, WitnessStructure] | None]:
+    """Cheapest witnesses found for block b: entry e is (cost, structure)
+    bringing b to excess <= e, or None.
+
+    `prev` is the knapsack over the blocks before b (prev[j]: fewest
+    contractions bringing them to total excess <= j), so a partition is only
+    refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
+    fits no solution or improves no entry.  With `first_hit` the scan stops
+    at the first witness that completes a feasible knapsack.
+    """
+    best: list[tuple[int, WitnessStructure] | None] = [None] * (ell + 1)
+
+    def improves(cost: int, x: int) -> bool:
+        return x <= ell and (best[x] is None or cost < best[x][0])
+
+    def offer(cost: int, x: int, structure: WitnessStructure) -> bool:
+        """Record a witness reaching excess x; True once the scan can stop."""
+        for e in range(x, ell + 1):
+            if best[e] is None or cost < best[e][0]:
+                best[e] = (cost, structure)
+        if first_hit and x <= ell and prev[ell - x] + cost <= k:
+            return True
+        return best[0] is not None and best[0][0] <= 1  # only cost 0 would improve
+
+    v = min(b.vertices)
+    if (offer(0, excess(b), WitnessStructure.of([{u} for u in b.vertices]))
+            or offer(b.n - 2, 0, WitnessStructure.of([{v}, b.vertices - {v}]))
+            or prev[ell] >= k):
+        return best
+
+    lookup = (_partition_lookup(b)
+              if isinstance(mode, FamilyColorings) and b.n <= EXHAUSTIVE_VERTEX_CAP else None)
+    shatters: dict = {}
+    for comps, colors_needed in _mode_partitions(b, k, ell, mode):
+        budget = min(k - prev[ell], best[0][0] - 1)
+        if lookup is not None:
+            cost, x = lookup[frozenset(comps)]
+            if cost > budget or not improves(cost, x):
+                continue
+        refined = _refine_components(b, comps, budget, shatters)
+        if refined is None:
+            continue
+        structure, cost = refined
+        x = excess(quotient(b, structure))
+        if colors_needed is not None and improves(cost, x):
+            # the partition counts at allowance e only if q(e) colors realize it
+            chi = colors_needed()
+            x = max(x, next(e for e in itertools.count() if palette_size(e) >= chi))
+        if improves(cost, x) and offer(cost, x, structure):
+            break
+    return best
+
+
+# ---------------------------------------------------------------------------
+# general graphs: a min-plus knapsack over the blocks
+
+def solve(instance: Instance,
+          mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
+          ) -> ContractionSolution | None:
+    """Full solver.  Returned solutions always verify against the instance."""
+    g, k, ell = instance.graph, instance.k, instance.ell
+    if k < 0:
+        return None
+    if is_near_tree(g, ell):
+        return ContractionSolution.of(frozenset(), k)
+    if not g.is_connected() or k == 0:
+        return None
+
+    # bridges have excess 0 and never need a contraction; the largest block goes last
+    blocks = sorted((b for b in biconnected_blocks(g) if b.m > 1),
+                    key=lambda b: (b.n, b.m, min(b.vertices)))
+    cost: list[float] = [0] * (ell + 1)  # cost[j]: fewest contractions, total excess <= j
+    picks: list[tuple] = [()] * (ell + 1)  # the (block, witness) pairs behind cost[j]
+    for i, b in enumerate(blocks):
+        profile = _block_profile(b, k, ell, mode, cost, first_hit=i == len(blocks) - 1)
+        new_cost, new_picks = [float("inf")] * (ell + 1), [()] * (ell + 1)
+        for j in range(ell + 1):
+            for e, entry in enumerate(profile[:j + 1]):
+                if entry is not None and cost[j - e] + entry[0] < new_cost[j]:
+                    new_cost[j] = cost[j - e] + entry[0]
+                    new_picks[j] = picks[j - e] + ((b, entry[1]),)
+        cost, picks = new_cost, new_picks
+        if cost[ell] > k:
+            return None
+
+    edges = frozenset().union(*(solution_edges(b, w) for b, w in picks[ell]))
+    check = verify_witness(g, witness_from_solution(g, edges), ell, k)
+    if not check.valid:
+        raise InternalError(f"solver output failed verification ({check.reason})")
     return ContractionSolution.of(edges, k)
 
 
 def solve_2connected(g: Graph, k: int, ell: int,
                      mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
                      ) -> ContractionSolution | None:
-    """Solve on a 2-connected graph, plus the small cases the coloring argument
-    skips: graphs already in the class, and graphs small enough that the
-    target quotient could have fewer than 3 vertices, which go to the oracle.
-
-    Never returns a false positive: every candidate witness is re-verified.
-    """
-    if k < 0:
-        return None
-    if is_near_tree(g, ell):
-        return ContractionSolution.of(frozenset(), k)
-    if g.n <= k + 2:
-        res = exact_opt(g, ell, min(k, g.m))
-        if res is None:
-            return None
-        return ContractionSolution.of(res[0], k)
-    if not analyze_connectivity(g).is_two_connected:
+    """`solve` on a 2-connected graph, or on one already in the class: a single
+    block, scanned until its first witness within budget."""
+    if k >= 0 and not is_near_tree(g, ell) and not analyze_connectivity(g).is_two_connected:
         raise InputError("coloring solver requires a 2-connected graph")
+    return solve(Instance(g, k, ell), mode)
 
-    q = palette_size(ell)
-
-    if isinstance(mode, ExhaustiveColorings):
-        if g.n > EXHAUSTIVE_VERTEX_CAP:
-            raise SizeCapError(
-                f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {g.n})")
-        verts, table = _partition_table(g)
-        for masks, chi, cost, qn, qm in table:
-            if chi <= q and cost <= k and qm <= qn - 1 + ell:
-                blocks = tuple(sorted((_mask_to_set(m, verts) for m in masks), key=min))
-                structure, _ = _refine_components(g, blocks)
-                return _finish(g, structure, k, ell)
-        return None
-
-    seen: dict[tuple[frozenset[int], ...], tuple[WitnessStructure, int]] = {}
-    # families revisit the same graph across budgets and recursion levels, so
-    # their refinement outcomes come from the shared partition table
-    lookup = (_partition_lookup(g)
-              if isinstance(mode, FamilyColorings) and g.n <= EXHAUSTIVE_VERTEX_CAP
-              else None)
-
-    def try_coloring(colors: dict[int, int], palette: int) -> ContractionSolution | None:
-        comps = tuple(monochromatic_components(g, Coloring.of(colors, palette)))
-        if lookup is not None:
-            cost, qn, qm = lookup[frozenset(comps)]
-            if cost > k or qm > qn - 1 + ell:
-                return None
-            structure, _ = _refine_components(g, comps)
-            return _finish(g, structure, k, ell)
-        if comps not in seen:
-            seen[comps] = _refine_components(g, comps)
-        structure, cost = seen[comps]
-        if cost <= k and is_near_tree(quotient(g, structure), ell):
-            return _finish(g, structure, k, ell)
-        return None
-
-    if isinstance(mode, RandomColorings):
-        rng = random.Random(mode.seed)
-        iters = mode.iterations if mode.iterations is not None else default_iterations(g, k, ell)
-        verts = sorted(g.vertices)
-        for _ in range(iters):
-            colors = {v: rng.randint(1, q) for v in verts}
-            hit = try_coloring(colors, q)
-            if hit is not None:
-                return hit
-        return None
-
-    if isinstance(mode, FamilyColorings):
-        if max(g.vertices) > mode.domain:
-            raise InputError("family domain too small for the vertex ids")
-        # a family built for a larger excess allowance may color past this
-        # level's palette; extra colors only split components further, which
-        # is sound (re-verified) and keeps the realized-assignment argument
-        wide = max(q, max((max(f) for f in mode.distinct), default=q))
-        tried: set[tuple[int, ...]] = set()
-        for f in mode.distinct:
-            colors = {v: f[v - 1] for v in g.vertices}
-            signature = _partition_signature(colors)
-            if signature in tried:
-                continue
-            tried.add(signature)
-            hit = try_coloring(colors, wide)
-            if hit is not None:
-                return hit
-        return None
-
-    raise InputError(f"unknown mode {mode!r}")
-
-
-def _partition_signature(colors: dict[int, int]) -> tuple[int, ...]:
-    """Color classes as a restricted-growth string, for deduplication."""
-    relabel: dict[int, int] = {}
-    out = []
-    for v in sorted(colors):
-        c = colors[v]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        out.append(relabel[c])
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# general graphs: rejection rules, leaf deletion, cut-vertex branching
-
-def solve(instance: Instance,
-          mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
-          ) -> ContractionSolution | None:
-    """Full solver.  Returned solutions always verify against the instance."""
-    cache: dict[tuple[Graph, int, int], frozenset[Edge] | None] = {}
-    edges = _solve_rec(instance.graph, instance.k, instance.ell, mode, cache)
-    if edges is None:
-        return None
-    check = verify_witness(instance.graph, witness_from_solution(instance.graph, edges),
-                           instance.ell, instance.k)
-    assert check.valid, f"internal: solver output failed verification ({check.reason})"
-    return ContractionSolution.of(edges, instance.k)
-
-
-def _solve_rec(g: Graph, k: int, ell: int, mode, cache) -> frozenset[Edge] | None:
-    key = (g, k, ell)
-    if key not in cache:
-        cache[key] = _solve_uncached(g, k, ell, mode, cache)
-    return cache[key]
-
-
-def _solve_uncached(g: Graph, k: int, ell: int, mode, cache) -> frozenset[Edge] | None:
-    if k < 0:
-        return None
-    if is_near_tree(g, ell):
-        return frozenset()
-    if not g.is_connected() or k == 0:
-        return None
-
-    # a strictly smaller excess allowance may already suffice
-    for smaller in range(ell):
-        hit = _solve_rec(g, k, smaller, mode, cache)
-        if hit is not None:
-            return hit
-
-    # degree-one vertices never host contracted edges; drop them one at a time
-    leaves = sorted(v for v in g.vertices if g.degree(v) == 1)
-    if leaves:
-        return _solve_rec(g.without([leaves[0]]), k, ell, mode, cache)
-
-    report = analyze_connectivity(g)
-    if report.is_two_connected:
-        sol = solve_2connected(g, k, ell, mode)
-        return sol.edges if sol is not None else None
-
-    # cut vertex: split into the lowest-id side and the rest
-    v = min(report.cut_vertices)
-    pieces = g.without([v]).components()
-    c1 = min(pieces, key=min)
-    g1 = g.subgraph(c1 | {v})
-    g2 = g.without(c1)
-
-    # both sides keep positive excess
-    for ell1 in range(1, ell):
-        ell2 = ell - ell1
-        for k1 in range(0, k + 1):
-            f1 = _solve_rec(g1, k1, ell1, mode, cache)
-            if f1 is None:
-                continue
-            f2 = _solve_rec(g2, k - k1, ell2, mode, cache)
-            if f2 is not None:
-                return f1 | f2
-
-    # otherwise one side must end up a tree; spend its exact tree budget first
-    for tree_side, other_side in ((g1, g2), (g2, g1)):
-        found = None
-        for t in range(0, k + 1):
-            f_tree = _solve_rec(tree_side, t, 0, mode, cache)
-            if f_tree is not None:
-                found = (t, f_tree)
-                break
-        if found is None:
-            continue
-        t, f_tree = found
-        f_other = _solve_rec(other_side, k - t, ell, mode, cache)
-        if f_other is not None:
-            return f_tree | f_other
-    return None

@@ -137,3 +137,29 @@ def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:
     edges = [x for x in g.edges if x != edge(u, v)]
     edges += [(u, fresh), (fresh, v)]
     return Graph.build(g.vertices | {fresh}, edges)
+
+
+def glue_blocks(blocks: list[Graph], joins: list[int]) -> Graph:
+    """Disjoint copies of `blocks` chained in order.  Block i + 1 hangs off
+    vertex (i mod size) of block i: it shares that vertex when joins[i] is 0,
+    and is reached from it by a path of joins[i] edges otherwise."""
+    edges: list[tuple[int, int]] = []
+    ids: list[int] = []
+    nxt = 1
+    for i, b in enumerate(blocks):
+        order = sorted(b.vertices)
+        if i == 0:
+            new_ids = list(range(nxt, nxt + len(order)))
+        else:
+            anchor, length = ids[(i - 1) % len(ids)], joins[i - 1]
+            if length == 0:
+                new_ids = [anchor] + list(range(nxt, nxt + len(order) - 1))
+            else:
+                path = [anchor, *range(nxt, nxt + length)]
+                edges += zip(path, path[1:])
+                new_ids = list(range(path[-1], path[-1] + len(order)))
+        ids = new_ids
+        rename = dict(zip(order, ids))
+        edges += [(rename[u], rename[v]) for u, v in b.edges]
+        nxt = max(ids) + 1
+    return Graph.build({v for e in edges for v in e}, edges)

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import connected_graphs
 
+import neartree
 from neartree.errors import ParseError
 from neartree.families import build_interval_splitter
 from neartree.graph import Graph, Instance, complete_graph, cycle_graph, path_graph
@@ -27,7 +30,7 @@ from neartree.harness import (
 )
 from neartree.kernel import kernelize
 from neartree.oracle import exact_decide
-from neartree.witness import WitnessStructure
+from neartree.witness import WitnessStructure, verify_witness
 
 
 class TestGraphFormat:
@@ -262,11 +265,40 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
+        import neartree.harness as harness
+
+        def crash(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(harness, "run", crash)
+        assert main(["--mode", "exact", "--k", "1"]) == 2
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_long_pendant_path_is_decided(self, tmp_path, capsys):
+        # K5 with a 600-vertex pendant path, deeper than the default recursion limit
+        path = [(v, v + 1) for v in range(5, 605)]
+        g = Graph.build(range(1, 606), list(complete_graph(range(1, 6)).edges) + path)
+        src = tmp_path / "k5_tail.graph"
+        src.write_text(serialize_graph(g))
+        out = tmp_path / "witness.txt"
+        code = main(["--mode", "exhaustive", "--k", "3", "--ell", "1",
+                     "--in", str(src), "--out", str(out)])
+        assert code == 0
+        assert "decision=yes" in capsys.readouterr().out
+        assert verify_witness(g, parse_witness(out.read_text()), 1, 3).valid
+
     def test_module_entrypoint(self, tmp_path):
         g = self._write_c4(tmp_path)
+        # the child finds the package where this test imported it from,
+        # installed or not
+        package_root = str(Path(neartree.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "neartree.harness", "--mode", "exact",
              "--k", "0", "--ell", "1", "--in", str(g)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "decision=yes" in proc.stdout

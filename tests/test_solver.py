@@ -1,8 +1,8 @@
 import pytest
 
-from helpers import connected_graphs
+from helpers import connected_graphs, glue_blocks
 
-from neartree.errors import InputError
+from neartree.errors import InputError, InternalError
 from neartree.families import coloring_family
 from neartree.graph import (
     Graph,
@@ -26,12 +26,19 @@ from neartree.solver import (
     solve,
     solve_2connected,
 )
-from neartree.witness import WitnessStructure, verify_witness, witness_from_solution
+from neartree.witness import (
+    WitnessCheck,
+    WitnessStructure,
+    verify_witness,
+    witness_from_solution,
+)
 
 C4 = cycle_graph([1, 2, 3, 4])
 C5 = cycle_graph([1, 2, 3, 4, 5])
 P5 = path_graph([1, 2, 3, 4, 5])
 BOWTIE = Graph.build([1, 2, 3, 4, 5], [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])
+K4 = complete_graph([1, 2, 3, 4])
+C6_CHORD = Graph.build(range(1, 7), list(cycle_graph(range(1, 7)).edges) + [(1, 4)])
 
 
 class TestComponents:
@@ -255,3 +262,68 @@ class TestFamilyMode:
                         got = solve(Instance(g, k, ell), mode_cache[key])
                         want = solve(Instance(g, k, ell), ExhaustiveColorings())
                         assert (got is None) == (want is None)
+
+
+class TestBlockKnapsack:
+    # (blocks, joins): consecutive blocks share a cut vertex (0) or are
+    # joined by a tree path of that many edges
+    GRAPHS = [
+        ([K4, C5], [0]), ([K4, C5], [1]), ([C5, C6_CHORD], [0]), ([C6_CHORD, K4], [2]),
+        ([K4, K4], [0]), ([C5, C5], [1]), ([C6_CHORD, C6_CHORD], [0]),
+        ([K4, C5, C6_CHORD], [0, 1]), ([C5, K4, K4], [1, 0]), ([C6_CHORD, C5, K4], [0, 0]),
+    ]
+    SMALL = [([K4, K4], [0]), ([K4, C5], [0]), ([K4, K4], [1]), ([C5, K4], [0])]
+
+    def test_exhaustive_matches_oracle_on_multi_block_graphs(self, oracle_cache):
+        for blocks, joins in self.GRAPHS:
+            g = glue_blocks(blocks, joins)
+            for ell in range(4):
+                for k in range(4):
+                    want = oracle_cache.decide(g, k, ell)
+                    sol = solve(Instance(g, k, ell), ExhaustiveColorings())
+                    assert (sol is not None) == want, (sorted(g.edges), k, ell)
+
+    def test_derand_matches_oracle_on_multi_block_graphs(self, oracle_cache):
+        # the universal families outgrow their size cap beyond 8 vertices or ell = 1
+        modes = {}
+        for blocks, joins in self.SMALL:
+            g = glue_blocks(blocks, joins)
+            for ell in (0, 1):
+                for k in (1, 2, 3):
+                    if (g.n, k, ell) not in modes:
+                        fam = coloring_family(g.n, k, ell)
+                        modes[g.n, k, ell] = FamilyColorings(fam.functions, fam.n)
+                    want = oracle_cache.decide(g, k, ell)
+                    got = solve(Instance(g, k, ell), modes[g.n, k, ell])
+                    assert (got is not None) == want, (sorted(g.edges), k, ell)
+
+    def test_large_tree_with_blocks_needs_no_recursion(self):
+        # a 5000-vertex path with side branches, deeper than the default
+        # recursion limit, carrying a K4, a C5 and a chorded C6 (excess 6)
+        import random
+
+        rng = random.Random(5)
+        n = 5000
+        edges = [(v - 1, v) for v in range(2, 4001)]
+        edges += [(rng.randint(1, v - 1), v) for v in range(4001, n + 1)]
+        for anchor, block in ((1000, K4), (2500, C5), (4500, C6_CHORD)):
+            order = sorted(block.vertices)
+            ids = dict(zip(order, [anchor] + list(range(n + 1, n + len(order)))))
+            edges += [(ids[u], ids[v]) for u, v in block.edges]
+            n += len(order) - 1
+        g = Graph.build(range(1, n + 1), edges)
+        sol = solve(Instance(g, 3, 3), ExhaustiveColorings())
+        assert sol is not None and sol.cost <= 3
+        assert solve(Instance(g, 1, 3), ExhaustiveColorings()) is None
+
+
+class TestSoundnessChecks:
+    def test_failed_verification_raises_internal_error(self, monkeypatch):
+        import neartree.solver as solver_module
+
+        def reject(g, w, ell, k):
+            return WitnessCheck(False, w.cost(), "quotient-outside-class")
+
+        monkeypatch.setattr(solver_module, "verify_witness", reject)
+        with pytest.raises(InternalError):
+            solve(Instance(BOWTIE, 1, 1), ExhaustiveColorings())
