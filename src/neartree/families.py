@@ -325,8 +325,8 @@ def _splits_evenly(f: tuple[int, ...], s: tuple[int, ...], q: int) -> bool:
 def coloring_family(n: int, k: int, ell: int, seed: int = 0) -> FunctionFamily:
     """Universal family sized for derandomizing the coloring solver: palette
     2*ceil(sqrt(ell)) + 2, subset size 6k + 8*ell clamped to n (the class
-    argument needs that many vertices colored specifically; when the graph
-    is smaller the whole vertex set is covered)."""
+    argument needs that many vertices colored specifically; n is the size of
+    the largest block, and a smaller block is covered whole)."""
     from .graph import palette_size
 
     target = min(n, 6 * k + 8 * ell)

@@ -256,36 +256,21 @@ def analyze_connectivity(g: Graph) -> ConnectivityReport:
     return ConnectivityReport(comps, frozenset(cuts), two)
 
 
-def _spanning_tree_edges(g: Graph) -> set[Edge]:
-    """BFS spanning tree from the smallest vertex; g must be connected."""
+def _spanning_tree_edges(g: Graph) -> tuple[set[Edge], dict[int, int]]:
+    """BFS spanning tree from the smallest vertex, and each vertex's side (1 or
+    2) of the tree's bipartition; g must be connected."""
     root = min(g.vertices)
-    seen = {root}
+    side = {root: 1}
     tree: set[Edge] = set()
     queue = deque([root])
     while queue:
         x = queue.popleft()
         for y in sorted(g.adjacency[x]):
-            if y not in seen:
-                seen.add(y)
+            if y not in side:
+                side[y] = 3 - side[x]
                 tree.add(edge(x, y))
                 queue.append(y)
-    return tree
-
-
-def _bipartition_colors(g: Graph, color_a: int, color_b: int) -> dict[int, int]:
-    """2-color a forest (per component, BFS parity)."""
-    colors: dict[int, int] = {}
-    for comp in g.components():
-        root = min(comp)
-        colors[root] = color_a
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if y not in colors:
-                    colors[y] = color_b if colors[x] == color_a else color_a
-                    queue.append(y)
-    return colors
+    return tree, side
 
 
 def _degeneracy_greedy_colors(g: Graph, first_color: int) -> dict[int, int]:
@@ -328,19 +313,20 @@ def near_tree_coloring(g: Graph, ell: int) -> dict[int, int]:
 
     Construction: fix a spanning tree; the at most ell excess edges have at
     most 2*ell endpoints.  The subgraph induced on those endpoints is colored
-    greedily in degeneracy order with colors 3, 4, ...; the rest is a forest
-    and gets colors 1 and 2 by bipartition.  The degeneracy of any induced
-    subgraph here is at most (1 + sqrt(1 + 8*ell)) / 2, which keeps the
-    endpoint palette within 2*ceil(sqrt(ell)) for every ell >= 1.
+    greedily in degeneracy order with colors 3, 4, ...; every edge among the
+    other vertices is a tree edge, so they get colors 1 and 2 by their side
+    of the tree's bipartition.  The degeneracy of any induced subgraph here
+    is at most (1 + sqrt(1 + 8*ell)) / 2, which keeps the endpoint palette
+    within 2*ceil(sqrt(ell)) for every ell >= 1.
     """
     if not is_near_tree(g, ell):
         raise InputError("graph is not within the stated excess of a tree")
     budget = palette_size(ell)
-    tree = _spanning_tree_edges(g)
+    tree, side = _spanning_tree_edges(g)
     extra = sorted(g.edges - tree)
     endpoints = frozenset(v for e in extra for v in e)
 
-    coloring = _bipartition_colors(g.without(endpoints), 1, 2)
+    coloring = {v: s for v, s in side.items() if v not in endpoints}
     if endpoints:
         coloring.update(_degeneracy_greedy_colors(g.subgraph(endpoints), 3))
 

@@ -28,7 +28,7 @@ from .families import (
     coloring_family,
     verify_family,
 )
-from .graph import Graph, Instance, edge
+from .graph import Graph, Instance, biconnected_blocks, edge
 from .kernel import (
     CommonNbrContract,
     KernelTrace,
@@ -376,7 +376,9 @@ def run(cfg: RunConfig) -> int:
             if cfg.family_file:
                 fam = parse_family(_read(cfg.family_file))
             else:
-                fam = coloring_family(max(g.vertices), cfg.k, cfg.ell, seed=cfg.seed)
+                # the solver colors one block at a time, by rank
+                largest = max((b.n for b in biconnected_blocks(g)), default=1)
+                fam = coloring_family(largest, cfg.k, cfg.ell, seed=cfg.seed)
             mode = FamilyColorings(fam.functions, fam.n)
         sol = solve(Instance(g, cfg.k, cfg.ell), mode)
         return _emit_solution(cfg, g, sol)
@@ -470,12 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(mode=args.mode, k=args.k, ell=args.ell, alpha=args.alpha,
-                    seed=args.seed, iters=args.iters, infile=args.infile,
-                    out=args.out, trace=args.trace, family_file=args.family_file,
-                    witness=args.witness, sol=args.sol, kind=args.kind,
-                    n=args.n, q=args.q, fam_k=args.fam_k)
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         return run(cfg)
     except (InputError, ParseError, SizeCapError, OSError) as exc:

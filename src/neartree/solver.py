@@ -33,9 +33,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
-from .cvc import Shatter, boundary, min_shatter
+from .cvc import Shatter, min_shatter
 from .errors import InputError, InternalError, SizeCapError
 from .graph import (
     Graph,
@@ -74,10 +74,17 @@ class ExhaustiveColorings:
 
 @dataclass(frozen=True)
 class FamilyColorings:
-    """Iterate an explicit list of colorings, e.g. a universal family."""
+    """Iterate an explicit list of colorings, e.g. a universal family.
+
+    Each function colors one block at a time by rank: position i colors the
+    i-th smallest vertex of the block.  A family universal for t-subsets of
+    [domain] realizes every assignment on every subset of at most t
+    positions of any prefix, so it serves every block of at most `domain`
+    vertices, whatever their ids.
+    """
 
     functions: tuple[tuple[int, ...], ...]
-    domain: int  # functions map [domain] -> colors; vertex ids must be <= domain
+    domain: int  # functions map [domain] -> colors; blocks may have <= domain vertices
 
     @cached_property
     def distinct(self) -> tuple[tuple[int, ...], ...]:
@@ -85,8 +92,8 @@ class FamilyColorings:
 
         The refinement outcome of a coloring depends only on its color
         classes, and a partition of the domain fixes the partition of every
-        subset, so functions sharing a partition are interchangeable
-        everywhere in the recursion.  First occurrence wins.
+        prefix, so functions sharing a partition are interchangeable on
+        every block.  First occurrence wins.
         """
         seen: set[tuple[int, ...]] = set()
         out = []
@@ -161,7 +168,6 @@ SHATTER = "shatter"
 class ComponentCase:
     kind: str  # CONTRACT_ALL | ALL_SINGLETONS | SHATTER
     component: frozenset[int]
-    boundary: frozenset[int] | None = None  # only for SHATTER
 
 
 def _induced_path_ends(g: Graph, x: frozenset[int]) -> tuple[int, int] | None:
@@ -197,7 +203,7 @@ def classify_component(g: Graph, x: frozenset[int],
                 if (g.neighbors(a) & other) and (g.neighbors(b) & other):
                     return ComponentCase(CONTRACT_ALL, x)
             return ComponentCase(ALL_SINGLETONS, x)
-    return ComponentCase(SHATTER, x, boundary(g, x))
+    return ComponentCase(SHATTER, x)
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +341,6 @@ def _mask_partitions(g: Graph):
         yield blocks, partial(_block_chromatic, masks, adj)
 
 
-@lru_cache(maxsize=64)
-def _partition_lookup(g: Graph) -> dict[frozenset[frozenset[int]], tuple[int, int]]:
-    """Partition -> (cost, quotient excess) of its refinement, for every
-    partition of V(g) into connected blocks.
-
-    Lets family mode skip re-refinement across budgets: a coloring's
-    component partition is always a partition into connected blocks, so it
-    has an entry.
-    """
-    out, shatters = {}, {}
-    for blocks, _ in _mask_partitions(g):
-        structure, cost = _refine_components(g, blocks, g.n, shatters)
-        out[frozenset(blocks)] = (cost, excess(quotient(g, structure)))
-    return out
-
-
 def _block_chromatic(masks: tuple[int, ...], adj: list[int]) -> int:
     """Chromatic number of the block-adjacency graph (exact; tiny inputs)."""
     t = len(masks)
@@ -405,7 +395,9 @@ def _block_chromatic(masks: tuple[int, ...], adj: list[int]) -> int:
 def _mode_partitions(b: Graph, k: int, ell: int, mode):
     """Component partitions of block b in the order the mode proposes them,
     each with a callable returning how many colors realize it (exhaustive
-    mode), or None when a coloring within the palette produced it."""
+    mode), or None when a coloring within the palette produced it.  Family
+    functions color b's vertices by rank, so the family's domain bounds the
+    block size, not the vertex ids."""
     if isinstance(mode, ExhaustiveColorings):
         if b.n > EXHAUSTIVE_VERTEX_CAP:
             raise SizeCapError(
@@ -419,8 +411,9 @@ def _mode_partitions(b: Graph, k: int, ell: int, mode):
         iters = mode.iterations if mode.iterations is not None else default_iterations(b, k, ell)
         colorings = ({v: rng.randint(1, q) for v in verts} for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
-        if verts[-1] > mode.domain:
-            raise InputError("family domain too small for the vertex ids")
+        if b.n > mode.domain:
+            raise InputError(
+                f"family domain {mode.domain} is smaller than a block of {b.n} vertices")
         # a family built for a larger excess allowance may color past this
         # palette; extra colors only split components further, which is
         # sound (re-verified) and keeps the realized-assignment argument
@@ -437,10 +430,11 @@ def _mode_partitions(b: Graph, k: int, ell: int, mode):
 
 
 def _distinct_restrictions(functions, verts: list[int]):
-    """The functions restricted to verts, one per induced partition."""
+    """Each function's prefix as a coloring of verts by rank, one per induced
+    partition."""
     tried: set[tuple[int, ...]] = set()
     for f in functions:
-        seq = [f[v - 1] for v in verts]
+        seq = f[:len(verts)]
         signature = tuple(map(seq.index, seq))
         if signature not in tried:
             tried.add(signature)
@@ -478,16 +472,9 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
             or prev[ell] >= k):
         return best
 
-    lookup = (_partition_lookup(b)
-              if isinstance(mode, FamilyColorings) and b.n <= EXHAUSTIVE_VERTEX_CAP else None)
     shatters: dict = {}
     for comps, colors_needed in _mode_partitions(b, k, ell, mode):
-        budget = min(k - prev[ell], best[0][0] - 1)
-        if lookup is not None:
-            cost, x = lookup[frozenset(comps)]
-            if cost > budget or not improves(cost, x):
-                continue
-        refined = _refine_components(b, comps, budget, shatters)
+        refined = _refine_components(b, comps, min(k - prev[ell], best[0][0] - 1), shatters)
         if refined is None:
             continue
         structure, cost = refined

@@ -11,7 +11,7 @@ from helpers import connected_graphs
 
 import neartree
 from neartree.errors import ParseError
-from neartree.families import build_interval_splitter
+from neartree.families import build_interval_splitter, coloring_family
 from neartree.graph import Graph, Instance, complete_graph, cycle_graph, path_graph
 from neartree.harness import (
     gen_hardness_gadget,
@@ -276,17 +276,51 @@ class TestCli:
         assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_long_pendant_path_is_decided(self, tmp_path, capsys):
-        # K5 with a 600-vertex pendant path, deeper than the default recursion limit
+        # K5 with a 600-vertex pendant path, deeper than the default recursion
+        # limit; derand builds its family over the 5-vertex block
         path = [(v, v + 1) for v in range(5, 605)]
         g = Graph.build(range(1, 606), list(complete_graph(range(1, 6)).edges) + path)
         src = tmp_path / "k5_tail.graph"
         src.write_text(serialize_graph(g))
         out = tmp_path / "witness.txt"
-        code = main(["--mode", "exhaustive", "--k", "3", "--ell", "1",
-                     "--in", str(src), "--out", str(out)])
-        assert code == 0
+        for mode in ("exhaustive", "derand"):
+            code = main(["--mode", mode, "--k", "3", "--ell", "1",
+                         "--in", str(src), "--out", str(out)])
+            assert code == 0, mode
+            assert "decision=yes" in capsys.readouterr().out
+            assert verify_witness(g, parse_witness(out.read_text()), 1, 3).valid
+
+    def _write_two_c5(self, tmp_path):
+        g = Graph.build(range(1, 10), list(cycle_graph([1, 2, 3, 4, 5]).edges)
+                        + list(cycle_graph([1, 6, 7, 8, 9]).edges))
+        p = tmp_path / "two_c5.graph"
+        p.write_text(serialize_graph(g))
+        return g, p
+
+    def test_derand_family_spans_the_largest_block(self, tmp_path, capsys):
+        # two C5 sharing a vertex: the family covers 5 vertices, not all 9
+        g, src = self._write_two_c5(tmp_path)
+        out = tmp_path / "witness.txt"
+        for k, ell in ((1, 2), (3, 1)):
+            code = main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                         "--in", str(src), "--out", str(out)])
+            assert code == 0, (k, ell)
+            assert "decision=yes" in capsys.readouterr().out
+            assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
+
+    def test_family_file_applies_by_rank_within_each_block(self, tmp_path, capsys):
+        g, src = self._write_two_c5(tmp_path)
+        fam_file = tmp_path / "fam.txt"
+        out = tmp_path / "witness.txt"
+        args = ["--mode", "derand", "--k", "3", "--ell", "1", "--in", str(src),
+                "--family-file", str(fam_file), "--out", str(out)]
+        fam_file.write_text(serialize_family(coloring_family(5, 3, 1)))
+        assert main(args) == 0
         assert "decision=yes" in capsys.readouterr().out
         assert verify_witness(g, parse_witness(out.read_text()), 1, 3).valid
+        fam_file.write_text(serialize_family(coloring_family(4, 3, 1)))
+        assert main(args) == 2
+        assert "smaller than a block of 5 vertices" in capsys.readouterr().err
 
     def test_module_entrypoint(self, tmp_path):
         g = self._write_c4(tmp_path)
