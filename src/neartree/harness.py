@@ -4,10 +4,15 @@ Graph text format: first line "p <n> <m>", then m lines "e <u> <v>" with
 1-based vertex ids; "c" starts a comment.  Witness structures are one bag
 per line (space-separated ids).  Families carry a "family <n> <q> <kind>
 <k>" header, one function per line.  Kernel traces are line-oriented step
-logs that replay against the original instance.
+logs that replay against the original instance: "instance k <k> ell <ell>",
+"reduced-k <k'>", "resolved none|yes|no", then one line per step, "step
+longpath u1 v1 u2 v2 ..." (the edges of every long run, contracted at once),
+"step twin <v> <neighbors>" or "step commonnbr <d> u1 v1 u2 v2 ...".
 
-Exit codes: 0 decided yes, 1 decided no, 2 error.  Every solver answer is
-re-verified through the witness checker before it is printed.
+Exit codes: 0 decided yes, 1 decided no (in rand mode: no witness found,
+printed as decision=not-found, which certifies nothing), 2 error.  Every
+solver answer is re-verified through the witness checker before it is
+printed.
 """
 
 from __future__ import annotations
@@ -213,14 +218,14 @@ def serialize_trace(original: Instance, reduced: Instance, trace: KernelTrace) -
         f"resolved {trace.resolved or 'none'}",
     ]
     for step in trace.steps:
-        if isinstance(step, LongPathContract):
-            u, v = step.contracted
-            lines.append(f"step longpath {u} {v}")
-        elif isinstance(step, TwinDelete):
+        if isinstance(step, TwinDelete):
             ns = " ".join(str(x) for x in sorted(step.neighborhood))
             lines.append(f"step twin {step.vertex} {ns}")
-        elif isinstance(step, CommonNbrContract):
-            flat = " ".join(f"{u} {v}" for u, v in step.contracted)
+            continue
+        flat = " ".join(f"{u} {v}" for u, v in step.contracted)
+        if isinstance(step, LongPathContract):
+            lines.append(f"step longpath {flat}")
+        else:
             lines.append(f"step commonnbr {step.d} {flat}")
     return "\n".join(lines) + "\n"
 
@@ -241,16 +246,15 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
             pass  # derivable
         elif parts[0] == "resolved":
             resolved = None if parts[1] == "none" else parts[1]
-        elif parts[0] == "step" and parts[1] == "longpath":
-            steps.append(LongPathContract(edge(int(parts[2]), int(parts[3])),
-                                          min(int(parts[2]), int(parts[3]))))
         elif parts[0] == "step" and parts[1] == "twin":
             steps.append(TwinDelete(int(parts[2]), frozenset(int(x) for x in parts[3:])))
-        elif parts[0] == "step" and parts[1] == "commonnbr":
-            d = int(parts[2])
-            flat = [int(x) for x in parts[3:]]
+        elif parts[0] == "step" and parts[1] in ("longpath", "commonnbr"):
+            flat = [int(x) for x in parts[2:]]
+            d = flat.pop(0) if parts[1] == "commonnbr" else None
+            if len(flat) % 2:
+                raise ParseError("contracted edges come as vertex pairs", lineno)
             pairs = tuple(edge(flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-            steps.append(CommonNbrContract(pairs, d, min(v for e in pairs for v in e)))
+            steps.append(LongPathContract(pairs) if d is None else CommonNbrContract(pairs, d))
         else:
             raise ParseError(f"unknown trace line {parts[0]!r}", lineno)
     if k is None or ell is None:
@@ -339,14 +343,17 @@ def _write(path: str | None, text: str):
         fh.write(text)
 
 
-def _result_line(decision: bool, cost: int, mode: str, seed: int, extra: str = "") -> str:
-    base = f"result decision={'yes' if decision else 'no'} cost={cost} mode={mode} seed={seed}"
+def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: str = "") -> str:
+    """decision None: nothing found, which is not a certified no."""
+    word = "not-found" if decision is None else ("yes" if decision else "no")
+    base = f"result decision={word} cost={cost} mode={mode} seed={seed}"
     return base + (f" {extra}" if extra else "")
 
 
 def _emit_solution(cfg: RunConfig, g: Graph, sol: ContractionSolution | None) -> int:
     if sol is None:
-        print(_result_line(False, cfg.k + 1, cfg.mode, cfg.seed))
+        # random colorings that miss certify nothing; the exit code stays 1
+        print(_result_line(None if cfg.mode == "rand" else False, cfg.k + 1, cfg.mode, cfg.seed))
         return 1
     structure = witness_from_solution(g, sol.edges)
     check = verify_witness(g, structure, cfg.ell, cfg.k)
@@ -410,11 +417,12 @@ def run(cfg: RunConfig) -> int:
         original = Instance(g, k0, ell0)
         # the reduced graph was written renumbered 1..n; translate the
         # solution back into the trace's (original merged) ids
-        reduced_graph = replay(original, trace)[-1].graph
-        order = sorted(reduced_graph.vertices)
-        if f_reduced and max(v for e in f_reduced for v in e) <= len(order):
-            back = {i + 1: v for i, v in enumerate(order)}
-            f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
+        order = sorted(replay(original, trace)[-1].graph.vertices)
+        back = dict(enumerate(order, start=1))
+        outside = sorted(v for e in f_reduced for v in e if v not in back)
+        if outside:
+            raise InputError(f"solution vertex {outside[0]} outside the reduced graph's 1..{len(order)}")
+        f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
         lifted = lift_solution(original, trace, f_reduced)
         check = verify_witness(g, witness_from_solution(g, lifted), ell0, k0)
         _write(cfg.out, serialize_edge_set(lifted))

@@ -1,11 +1,12 @@
 """Lossy kernelization: reduction rules, size bound, and solution lifting.
 
 Three rewrite rules shrink an instance while keeping any solution of the
-reduced instance liftable: long induced degree-2 paths lose an edge, a
-vertex with enough false twins disappears, and a large common neighborhood
-in the high-degree set is contracted (the only lossy rule, losing at most a
-factor alpha).  A trace of applied steps drives the lifting; replaying it
-forward on the original instance reproduces the reduced one exactly.
+reduced instance liftable: every long induced degree-2 path is shortened to
+k + 2 interior vertices in one contraction, a vertex with enough false twins
+disappears, and a large common neighborhood in the high-degree set is
+contracted (the only lossy rule, losing at most a factor alpha).  A trace of
+applied steps drives the lifting; replaying it forward on the original
+instance reproduces the reduced one exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from math import ceil, comb
 
 from .errors import InputError
-from .graph import Edge, Graph, Instance, contract_edges, edge, is_near_tree
+from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, is_near_tree
 
 MAX_LOSSY_DEGREE = 16  # cap on d = ceil(alpha / (alpha - 1)); rejects alpha too close to 1
 
@@ -25,8 +26,7 @@ MAX_LOSSY_DEGREE = 16  # cap on d = ceil(alpha / (alpha - 1)); rejects alpha too
 
 @dataclass(frozen=True)
 class LongPathContract:
-    contracted: Edge
-    merged: int
+    contracted: tuple[Edge, ...]  # edges inside the long runs
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class TwinDelete:
 class CommonNbrContract:
     contracted: tuple[Edge, ...]  # the star {v1 h_i}
     d: int
-    merged: int
 
 
 Step = LongPathContract | TwinDelete | CommonNbrContract
@@ -47,6 +46,10 @@ Step = LongPathContract | TwinDelete | CommonNbrContract
 
 @dataclass(frozen=True)
 class KernelTrace:
+    """The applied steps in order.  A long-path step holds the edges of every
+    long run contracted at once; it and the lossy step lift through the same
+    merge-map inversion, and only the lossy step lowers the budget (by d - 1)."""
+
     steps: tuple[Step, ...]
     resolved: str | None = None  # None | "yes" | "no"
 
@@ -77,81 +80,37 @@ def partition_hir(instance: Instance) -> HIRPartition:
 # ---------------------------------------------------------------------------
 # rule: long induced degree-2 paths
 
-def _degree2_runs(g: Graph):
-    """Maximal runs of degree-2 vertices, as (kind, ordered vertices, anchors).
+def _long_path_edges(g: Graph, k: int) -> list[Edge]:
+    """Edges whose contraction leaves every run of degree-2 vertices with at
+    most k + 2 interior vertices.
 
-    kind "cycle": the whole graph is a cycle (no anchors).  kind "chain":
-    a path of degree-2 vertices whose two outside neighbors (the anchors,
-    possibly equal) have other degrees.
+    A run R is a connected component of the degree-2 vertices and its anchors
+    are R's neighbors outside it (two for a chain, one when R closes a cycle
+    through a single anchor, none when the graph is a cycle).  The longest
+    induced path through R has q = |R| - 2 + |anchors| interior vertices, so
+    R gives its first q - (k + 2) edges in sorted order.
     """
     deg2 = frozenset(v for v in g.vertices if g.degree(v) == 2)
     sub = g.subgraph(deg2)
-    runs = []
-    for comp in sub.components():
-        inner_ends = sorted(v for v in comp if len(sub.neighbors(v) & comp) <= 1)
-        if not inner_ends:
-            # every vertex keeps both neighbors inside: an isolated cycle,
-            # which in a connected graph means the graph itself
-            start = min(comp)
-            nxt = min(g.neighbors(start))
-            order = [start, nxt]
-            while len(order) < len(comp):
-                cand = (g.neighbors(order[-1]) & comp) - {order[-2]}
-                order.append(min(cand))
-            runs.append(("cycle", order, ()))
-            continue
-        first = inner_ends[0]
-        order = [first]
-        while len(order) < len(comp):
-            nxt = (sub.neighbors(order[-1]) & comp) - set(order[-2:])
-            order.append(min(nxt))
-        if len(order) == 1:
-            a, b = sorted(g.neighbors(order[0]))
-        else:
-            # each end of the run has exactly one neighbor outside it
-            a = min(g.neighbors(order[0]) - deg2)
-            b = min(g.neighbors(order[-1]) - deg2)
-            if b < a:
-                order.reverse()
-                a, b = b, a
-        runs.append(("chain", order, (a, b)))
-    return runs
-
-
-def _long_path_target(g: Graph, k: int) -> Edge | None:
-    """The edge u_(q-1) u_q of the canonical qualifying path, if any run gives
-    an induced path (u_0 .. u_(q+1)) with q > k + 2 interior degree-2
-    vertices.  Runs are searched by smallest member id."""
-    best = None
-    for kind, order, anchors in sorted(_degree2_runs(g), key=lambda r: min(r[1])):
-        m = len(order)
-        if kind == "cycle":
-            q = m - 2
-            target = edge(order[q - 1], order[q]) if q >= 2 else None
-        else:
-            a, b = anchors
-            if a != b:
-                q = m
-                target = edge(order[m - 2], order[m - 1]) if m >= 2 else None
-            else:
-                # the run closes a cycle through one anchor; the distinct-vertex
-                # path can use only one anchor endpoint
-                q = m - 1
-                target = edge(order[m - 3], order[m - 2]) if m >= 3 else None
-        if target is not None and q > k + 2:
-            best = target
-            break
-    return best
+    out: list[Edge] = []
+    for run in sub.components():
+        anchors = frozenset().union(*(g.neighbors(v) for v in run)) - run
+        surplus = len(run) - 2 + len(anchors) - (k + 2)
+        if surplus > 0:
+            out += sorted({edge(v, w) for v in run for w in sub.neighbors(v)})[:surplus]
+    return out
 
 
 def reduce_long_paths(instance: Instance) -> tuple[Instance, LongPathContract | None]:
+    """Shorten every long run in one contraction.  Runs are vertex-disjoint,
+    no edge joins two of them, and contracting edges inside a run changes no
+    degree, so this is one application of the rule per contracted edge."""
     g, k = instance.graph, instance.k
-    target = _long_path_target(g, k)
-    if target is None:
+    targets = _long_path_edges(g, k)
+    if not targets:
         return instance, None
-    contracted, _ = contract_edges(g, [target])
-    step = LongPathContract(target, min(target))
-    return Instance(contracted, k, instance.ell), step
+    contracted, _ = contract_edges(g, targets)
+    return Instance(contracted, k, instance.ell), LongPathContract(tuple(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +159,8 @@ def reduce_common_neighborhood(instance: Instance, alpha: float,
         if len(sharing) >= need:
             v1 = sharing[0]
             star = tuple(sorted(edge(v1, h) for h in hub_set))
-            contracted, merge = contract_edges(g, star)
-            step = CommonNbrContract(star, d, merge[v1])
-            return Instance(contracted, k - d + 1, ell), step
+            contracted, _ = contract_edges(g, star)
+            return Instance(contracted, k - d + 1, ell), CommonNbrContract(star, d)
     return instance, None
 
 
@@ -294,53 +252,42 @@ def replay(original: Instance, trace: KernelTrace) -> list[Instance]:
     cur = original
     for step in trace.steps:
         g, k, ell = cur.graph, cur.k, cur.ell
-        if isinstance(step, LongPathContract):
-            if step.contracted not in g.edges:
-                raise InputError(f"trace mismatch: edge {step.contracted} absent")
-            contracted, _ = contract_edges(g, [step.contracted])
-            cur = Instance(contracted, k, ell)
-        elif isinstance(step, TwinDelete):
+        if isinstance(step, TwinDelete):
             if step.vertex not in g.vertices:
                 raise InputError(f"trace mismatch: vertex {step.vertex} absent")
             cur = Instance(g.without([step.vertex]), k, ell)
-        elif isinstance(step, CommonNbrContract):
-            if not frozenset(step.contracted) <= g.edges:
-                raise InputError("trace mismatch: star edges absent")
-            contracted, _ = contract_edges(g, step.contracted)
-            cur = Instance(contracted, k - step.d + 1, ell)
+        elif isinstance(step, (LongPathContract, CommonNbrContract)):
+            contracted, _ = contract_edges(g, step.contracted)  # raises on absent edges
+            if isinstance(step, CommonNbrContract):
+                k -= step.d - 1
+            cur = Instance(contracted, k, ell)
         else:
             raise InputError(f"unknown step {step!r}")
         stages.append(cur)
     return stages
 
 
-def _expand_through_merge(f: frozenset[Edge], pre: Graph, group: frozenset[int],
-                          merged: int) -> frozenset[Edge]:
-    """Rename edges of the contracted graph back into the pre-contraction
-    graph: an edge at the merged vertex reattaches to the smallest group
-    member adjacent to its other endpoint."""
-    out = set()
-    for u, v in f:
-        if merged not in (u, v):
-            out.add(edge(u, v))
-            continue
-        other = v if u == merged else u
-        hosts = sorted(w for w in group if pre.has_edge(w, other))
-        if not hosts:
-            raise InputError(f"cannot lift edge ({u},{v}) through the contraction")
-        out.add(edge(hosts[0], other))
-    return frozenset(out)
+def _lift_through(f: frozenset[Edge], pre: Graph, merge: MergeMap) -> frozenset[Edge]:
+    """Map edges of a contracted graph back into the graph before the
+    contraction: each edge between two merged groups becomes the smallest
+    edge of pre that joins the same two groups."""
+    hosts: dict[Edge, Edge] = {}
+    for u, v in sorted(pre.edges):
+        if merge[u] != merge[v]:
+            hosts.setdefault(edge(merge[u], merge[v]), (u, v))
+    return frozenset(hosts[e] for e in f)
 
 
 def lift_solution(original: Instance, trace: KernelTrace,
                   f_reduced: frozenset[Edge] | set[Edge]) -> frozenset[Edge]:
     """Map a solution of the reduced instance back to the original one.
 
-    Long-path and twin steps keep the edge set (modulo renaming through the
-    merge); the lossy rule adds its contracted star back.  Whenever the
-    running solution already exceeds the budget of the stage it solves, the
-    lift gives up and returns every original edge, as does a reduced
-    instance flagged no.
+    Twin steps keep the edge set.  Both contraction steps map each edge back
+    through the merge to the smallest edge joining the same two groups, and
+    the lossy rule then adds its contracted star back.  Whenever the running
+    solution already exceeds the budget of the stage it solves, the lift
+    gives up and returns every original edge, as does a reduced instance
+    flagged no.
     """
     if trace.resolved == "no":
         return frozenset(original.graph.edges)
@@ -355,12 +302,9 @@ def lift_solution(original: Instance, trace: KernelTrace,
         if len(f) >= post.k + 1:
             return frozenset(original.graph.edges)
         if isinstance(step, TwinDelete):
-            pass  # edges of the smaller graph are edges of the larger one
-        elif isinstance(step, LongPathContract):
-            group = frozenset(step.contracted)
-            f = _expand_through_merge(f, pre.graph, group, step.merged)
-        elif isinstance(step, CommonNbrContract):
-            group = frozenset(v for e in step.contracted for v in e)
-            f = _expand_through_merge(f, pre.graph, group, step.merged)
+            continue  # edges of the smaller graph are edges of the larger one
+        _, merge = contract_edges(pre.graph, step.contracted)
+        f = _lift_through(f, pre.graph, merge)
+        if isinstance(step, CommonNbrContract):
             f = f | frozenset(step.contracted)
     return f

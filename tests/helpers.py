@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from neartree.graph import Graph, edge
+from neartree.graph import Graph, complete_graph, edge
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -163,3 +163,23 @@ def glue_blocks(blocks: list[Graph], joins: list[int]) -> Graph:
         edges += [(rename[u], rename[v]) for u, v in b.edges]
         nxt = max(ids) + 1
     return Graph.build({v for e in edges for v in e}, edges)
+
+
+def subdivide_paths(g: Graph, inner: dict[tuple[int, int], int]) -> Graph:
+    """Replace each edge e of `inner` by a path through inner[e] fresh vertices."""
+    edges = [e for e in g.edges if e not in inner]
+    fresh = max(g.vertices) + 1
+    for (u, v), s in sorted(inner.items()):
+        path = [u, *range(fresh, fresh + s), v]
+        edges += zip(path, path[1:])
+        fresh += s
+    return Graph.build(g.vertices | set(range(max(g.vertices) + 1, fresh)), edges)
+
+
+def three_long_runs() -> Graph:
+    """K4 on 1..4 with edge 1-2 subdivided by 8 vertices, edge 3-4 by 10, and
+    a ring of 9 more vertices closing a cycle through vertex 1: two long runs
+    between distinct anchors and one through a single anchor."""
+    g = subdivide_paths(complete_graph(range(1, 5)), {(1, 2): 8, (3, 4): 10})
+    ring = [1, *range(g.n + 1, g.n + 10), 1]
+    return Graph.build(g.vertices | set(ring), list(g.edges) + list(zip(ring, ring[1:])))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs
+from helpers import connected_graphs, three_long_runs
 
 import neartree
 from neartree.errors import ParseError
@@ -28,8 +28,14 @@ from neartree.harness import (
     serialize_trace,
     serialize_witness,
 )
-from neartree.kernel import kernelize
-from neartree.oracle import exact_decide
+from neartree.kernel import (
+    CommonNbrContract,
+    KernelTrace,
+    LongPathContract,
+    TwinDelete,
+    kernelize,
+)
+from neartree.oracle import exact_decide, exact_opt
 from neartree.witness import WitnessStructure, verify_witness
 
 
@@ -93,12 +99,19 @@ class TestOtherFormats:
 
     def test_trace_round_trip(self):
         inst = Instance(cycle_graph(range(1, 11)), 1, 0)
-        red, trace = kernelize(inst, 2.0)
-        text = serialize_trace(inst, red, trace)
-        k0, ell0, back = parse_trace(text)
-        assert (k0, ell0) == (1, 0)
-        assert back.steps == trace.steps
-        assert back.resolved == trace.resolved
+        every_kind = KernelTrace((LongPathContract(((1, 2), (3, 4))),
+                                  TwinDelete(5, frozenset({1, 3})),
+                                  CommonNbrContract(((1, 6), (1, 7)), 2)), None)
+        for red, trace in (kernelize(inst, 2.0), (inst, every_kind)):
+            text = serialize_trace(inst, red, trace)
+            k0, ell0, back = parse_trace(text)
+            assert (k0, ell0) == (1, 0)
+            assert back.steps == trace.steps
+            assert back.resolved == trace.resolved
+
+    def test_trace_step_with_an_unpaired_vertex(self):
+        with pytest.raises(ParseError):
+            parse_trace("instance k 1 ell 0\nstep longpath 1 2 3\n")
 
 
 class TestGadget:
@@ -188,7 +201,19 @@ class TestCli:
         g = self._write_c4(tmp_path)
         code = main(["--mode", "exhaustive", "--k", "1", "--ell", "0", "--in", str(g)])
         assert code == 1
-        assert "decision=no" in capsys.readouterr().out
+        assert "result decision=no cost=2 mode=exhaustive" in capsys.readouterr().out
+
+    def test_rand_miss_is_not_found(self, tmp_path, capsys):
+        # C6 with chord 1-4 is a yes at k = 3 (exact mode finds cost 3), but
+        # one coloring at seed 2 misses it: that is no certified no
+        src = tmp_path / "c6_chord.graph"
+        src.write_text(serialize_graph(Graph.build(
+            range(1, 7), list(cycle_graph(range(1, 7)).edges) + [(1, 4)])))
+        args = ["--k", "3", "--ell", "0", "--in", str(src)]
+        assert main(["--mode", "exact", *args]) == 0
+        assert "decision=yes cost=3" in capsys.readouterr().out
+        assert main(["--mode", "rand", *args, "--iters", "1", "--seed", "2"]) == 1
+        assert "result decision=not-found cost=4 mode=rand" in capsys.readouterr().out
 
     def test_rand_and_derand_agree(self, tmp_path, capsys):
         g = self._write_c4(tmp_path)
@@ -234,6 +259,32 @@ class TestCli:
                      "--sol", str(sol)])
         assert code == 0
         assert "decision=yes" in capsys.readouterr().out
+
+    def _kernel_exact_lift(self, tmp_path, g, k, ell, solution=None):
+        """kernel -> exact on the written reduced graph -> lift; returns the
+        lift's exit code and the trace.  `solution` replaces exact's answer."""
+        src, red, tr, sol = (tmp_path / f for f in ("g.graph", "red.graph", "tr.txt", "sol.txt"))
+        src.write_text(serialize_graph(g))
+        assert main(["--mode", "kernel", "--alpha", "2", "--k", str(k), "--ell", str(ell),
+                     "--in", str(src), "--out", str(red), "--trace", str(tr)]) == 0
+        if solution is None:  # the exact rules keep the budget
+            solution, _ = exact_opt(parse_graph(red.read_text()), ell, k)
+        sol.write_text(serialize_edge_set(solution))
+        code = main(["--mode", "lift", "--in", str(src), "--trace", str(tr), "--sol", str(sol)])
+        return code, parse_trace(tr.read_text())[2]
+
+    def test_kernel_exact_lift_through_several_runs(self, tmp_path, capsys):
+        g = three_long_runs()
+        code, trace = self._kernel_exact_lift(tmp_path, g, 2, 3)
+        assert code == 0
+        assert "result decision=yes cost=2 mode=lift" in capsys.readouterr().out
+        assert len(trace.steps) == 1  # all three runs contract in one step
+
+    def test_lift_rejects_ids_outside_the_reduced_graph(self, tmp_path, capsys):
+        code, _ = self._kernel_exact_lift(tmp_path, three_long_runs(), 2, 3,
+                                          solution={(1, 99)})
+        assert code == 2
+        assert "outside the reduced graph's 1..17" in capsys.readouterr().err
 
     def test_kernel_writes_reduced_instance_and_trace(self, tmp_path, capsys):
         left = [1, 2]

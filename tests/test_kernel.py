@@ -1,13 +1,16 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import connected_graphs
+from helpers import connected_graphs, subdivide_paths, three_long_runs
 
 from neartree.errors import InputError
 from neartree.graph import (
     Graph,
     Instance,
+    contract_edges,
     cycle_graph,
     path_graph,
     star_graph,
@@ -43,7 +46,8 @@ class TestLongPaths:
     def test_c10_single_step(self):
         red, step = reduce_long_paths(Instance(cycle_graph(range(1, 11)), 1, 0))
         assert isinstance(step, LongPathContract)
-        assert red.graph.n == 9 and red.k == 1
+        assert red.graph.n == 5 and red.k == 1
+        assert reduce_long_paths(red)[1] is None
 
     def test_c6_untouched_at_k4(self):
         inst = Instance(cycle_graph(range(1, 7)), 4, 0)
@@ -66,6 +70,30 @@ class TestLongPaths:
         assert step is not None  # interior 2,3,4 has q=3 > 2
         red2, step2 = reduce_long_paths(Instance(g, 1, 0))
         assert step2 is None  # q=3 is not > 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_long_run_shortens_in_one_call(self, k):
+        g = three_long_runs()
+        red, step = reduce_long_paths(Instance(g, k, 0))
+        assert step is not None
+        h = red.graph
+        assert all(h.degree(a) == g.degree(a) for a in (1, 2, 3, 4))
+        runs = h.subgraph(v for v in h.vertices if h.degree(v) == 2).components()
+        # k + 2 interior vertices each: the two chains keep k + 2 vertices,
+        # the cycle through vertex 1 one more, since its path ends at 1 once
+        assert sorted(len(r) for r in runs) == [k + 2, k + 2, k + 3]
+        assert reduce_long_paths(red)[1] is None
+
+    def test_lift_maps_each_edge_between_the_same_groups(self):
+        g = three_long_runs()
+        inst = Instance(g, 1, 0)
+        red, step = reduce_long_paths(inst)
+        trace = KernelTrace((step,), None)
+        for e in sorted(red.graph.edges):
+            lifted = lift_solution(inst, trace, {e})
+            assert len(lifted) == 1 and lifted <= g.edges
+            back, _ = contract_edges(g, step.contracted + tuple(lifted))
+            assert back == contract_edges(red.graph, [e])[0], e
 
 
 class TestPartition:
@@ -139,6 +167,7 @@ class TestKernelize:
         red, trace = kernelize(Instance(cycle_graph(range(1, 101)), 1, 0), 2.0)
         assert red.graph.n <= 1 + 4  # cycle length k + 4
         assert all(isinstance(s, LongPathContract) for s in trace.steps)
+        assert len(trace.steps) == 1  # the whole cycle shortens in one contraction
 
     def test_biclique_trace_and_bound(self):
         inst = Instance(biclique(2, 10), 1, 0)
@@ -158,7 +187,7 @@ class TestKernelize:
 
     def test_replay_detects_mismatch(self):
         inst = Instance(cycle_graph(range(1, 6)), 1, 0)
-        bogus = KernelTrace((LongPathContract((1, 3), 1),), None)
+        bogus = KernelTrace((LongPathContract(((1, 3),)),), None)
         with pytest.raises(InputError):
             replay(inst, bogus)
 
@@ -222,6 +251,34 @@ class TestExactRules:
             red, _ = kernelize_exact(inst)
             assert red.graph.m <= 24
             assert exact_decide(red) == exact_decide_big(inst)
+
+
+CORES = [g for n in (2, 3, 4) for g in connected_graphs(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_rules_match_the_oracle_on_subdivided_cores(data):
+    """The oracle decides the kernel's output as it decides a copy whose
+    subdivided paths the test shortens itself to k + 3 inner vertices (still
+    above the rule's k + 2); a yes lifts to a solution of the original."""
+    core = data.draw(st.sampled_from(CORES))
+    k = data.draw(st.sampled_from((1, 2)))
+    ell = data.draw(st.sampled_from((0, 1, 2)))
+    chosen = data.draw(st.lists(st.sampled_from(sorted(core.edges)),
+                                min_size=1, max_size=2, unique=True))
+    inner = {e: data.draw(st.integers(3, 15)) for e in chosen}
+    g = subdivide_paths(core, inner)
+    # at most 6 core edges plus 2 * (k + 4): within the oracle's 24 edges
+    short = subdivide_paths(core, {e: min(s, k + 3) for e, s in inner.items()})
+    inst = Instance(g, k, ell)
+    red, trace = kernelize_exact(inst)
+    want = exact_decide(Instance(short, k, ell))
+    assert exact_decide(red) == want
+    if want:
+        f_red, _ = exact_opt(red.graph, ell, k)
+        lifted = lift_solution(inst, trace, f_red)
+        assert verify_witness(g, witness_from_solution(g, lifted), ell, k).valid
 
 
 def exact_decide_big(inst: Instance) -> bool:
