@@ -11,9 +11,10 @@ sizes from the literature are out of scope, property correctness is not.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb, log
+from math import comb, isqrt, log
 
 import numpy as np
 
@@ -27,6 +28,7 @@ VERIFY_CAP = 4_000_000
 GREEDY_CAP = 2_000_000
 POOL_RANDOM = 192
 POOL_BLOCK = 64
+SCORE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,6 @@ class FunctionFamily:
         return len(self.functions)
 
 
-def _dedupe(funcs: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    seen = set()
-    out = []
-    for f in funcs:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # splitters
 
@@ -69,30 +61,14 @@ def build_interval_splitter(n: int, k: int, q: int) -> FunctionFamily:
     split evenly by the choice aligned with its sorted order."""
     if not (1 <= k <= n and 1 <= q <= n):
         raise InputError("interval splitter needs 1 <= k, q <= n")
-    funcs = []
-    for points in combinations(range(1, n + 1), q - 1):
-        cuts = (0,) + points + (n,)
-        f = []
-        for x in range(1, n + 1):
-            j = next(i for i in range(1, q + 1) if cuts[i - 1] < x <= cuts[i])
-            f.append(j)
-        funcs.append(tuple(f))
-    return FunctionFamily(n, q, SPLITTER, k, _dedupe(funcs),
-                          meta=f"interval({n},{k},{q})")
+    # x lies in interval 1 + #{split points below x}; distinct points give distinct maps
+    funcs = tuple(tuple(bisect_left(points, x) + 1 for x in range(1, n + 1))
+                  for points in combinations(range(1, n + 1), q - 1))
+    return FunctionFamily(n, q, SPLITTER, k, funcs, meta=f"interval({n},{k},{q})")
 
 
 def _next_prime(x: int) -> int:
-    def is_prime(v: int) -> bool:
-        if v < 2:
-            return False
-        i = 2
-        while i * i <= v:
-            if v % i == 0:
-                return False
-            i += 1
-        return True
-
-    while not is_prime(x):
+    while x < 2 or any(x % i == 0 for i in range(2, isqrt(x) + 1)):
         x += 1
     return x
 
@@ -111,10 +87,9 @@ def build_hash_splitter(n: int, k: int) -> FunctionFamily:
         ident = tuple(range(1, n + 1))
         return FunctionFamily(n, q, SPLITTER, k, (ident,), meta=f"hash-identity({n},{k})")
     p = _next_prime(max(n, q + 1))
-    funcs = []
-    for a in range(1, p):
-        funcs.append(tuple(((a * x) % p) % q + 1 for x in range(1, n + 1)))
-    return FunctionFamily(n, q, SPLITTER, k, _dedupe(funcs), meta=f"hash({n},{k},p={p})")
+    funcs = (tuple(((a * x) % p) % q + 1 for x in range(1, n + 1)) for a in range(1, p))
+    return FunctionFamily(n, q, SPLITTER, k, tuple(dict.fromkeys(funcs)),
+                          meta=f"hash({n},{k},p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +107,16 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
     """(n, k, q)-universal family by greedy set cover over the constraints
     {(S, phi) : |S| = k, phi : S -> [q]}.
 
-    Each round scores a candidate pool (uniformly random functions plus
-    functions constant on the blocks of a random balanced partition, both
-    refreshed per round) and keeps the function covering the most uncovered
-    constraints; a round that covers nothing falls back to a bespoke function
-    built from one uncovered constraint, so termination is unconditional.
-    When k = n the constraints are in bijection with the functions and the
-    full table is returned directly.
+    The uncovered constraints are one boolean table, a row per k-subset and
+    a column per assignment code.  Each round draws a candidate pool from a
+    `random.Random` seeded by (n, k, q, seed), one block of bytes per part
+    read as a numpy array: uniformly random functions plus functions
+    constant on the blocks of a random balanced partition.
+    It keeps the candidate covering the most uncovered constraints; a round
+    that covers nothing falls back to a bespoke function built from one
+    uncovered constraint, so termination is unconditional.  The same seed
+    gives the same family.  When k = n the constraints are in bijection with
+    the functions and the full table is returned directly.
     """
     if n < 1 or q < 1 or k < 0 or k > n:
         raise InputError("universal family needs 0 <= k <= n and q >= 1")
@@ -153,70 +131,63 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
         full = tuple(product(range(1, q + 1), repeat=n))
         return FunctionFamily(n, q, UNIVERSAL, k, full, meta=meta + "-full")
 
-    subsets = [list(s) for s in combinations(range(n), k)]
-    weights = np.array([q ** (k - 1 - i) for i in range(k)], dtype=np.int64)
-    uncovered: list[set[int]] = [set(range(q ** k)) for _ in subsets]
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    rows = np.arange(len(subsets))
+    uncovered = np.ones((len(subsets), q ** k), dtype=bool)
     remaining = total
-    rng = random.Random(seed * 1_000_003 + n * 10_007 + k * 101 + q)
+    rng = random.Random(f"greedy/{n}/{k}/{q}/{seed}")
     chosen: list[tuple[int, ...]] = []
 
-    def coverage_counts(pool: np.ndarray) -> np.ndarray:
-        counts = np.zeros(len(pool), dtype=np.int64)
-        for si, s in enumerate(subsets):
-            codes = (pool[:, s] - 1) @ weights
-            mask = np.fromiter((c in uncovered[si] for c in codes.tolist()),
-                               dtype=bool, count=len(pool))
-            counts += mask
-        return counts
+    # a pool is scored in slices of subsets, so its code table stays near SCORE_CELLS
+    chunk = max(1, SCORE_CELLS // (POOL_RANDOM + POOL_BLOCK))
+    parts = [slice(i, i + chunk) for i in range(0, len(subsets), chunk)]
 
-    def absorb(func: np.ndarray) -> int:
-        newly = 0
-        for si, s in enumerate(subsets):
-            code = int((func[s] - 1) @ weights)
-            if code in uncovered[si]:
-                uncovered[si].discard(code)
-                newly += 1
-        return newly
+    def codes(digits: np.ndarray, part: slice) -> np.ndarray:
+        """(subsets in part, functions) codes: function j's colors minus 1 are
+        column j of digits, read in base q over the subset, first position highest."""
+        sub = subsets[part]
+        out = digits[sub[:, 0]]
+        for col in sub.T[1:]:
+            out *= q
+            out += digits[col]
+        return out
 
     while remaining > 0:
         pool = _candidate_pool(n, q, rng)
-        counts = coverage_counts(pool)
+        counts = sum(uncovered[rows[part, None], codes(pool, part)].sum(0) for part in parts)
         best = int(counts.argmax())
-        if counts[best] == 0:
-            func = _bespoke_repair(n, q, subsets, uncovered)
-        else:
-            func = pool[best]
-        covered = absorb(np.asarray(func, dtype=np.int64))
-        if covered == 0:  # the pool's best went stale against an empty gain
-            func = _bespoke_repair(n, q, subsets, uncovered)
-            covered = absorb(np.asarray(func, dtype=np.int64))
-        remaining -= covered
-        chosen.append(tuple(int(c) for c in func))
+        func = pool[:, best] if counts[best] else _bespoke_repair(n, q, subsets, uncovered)
+        hit = codes(func[:, None], slice(None))[:, 0]
+        remaining -= int(uncovered[rows, hit].sum())
+        uncovered[rows, hit] = False
+        chosen.append(tuple((func + 1).tolist()))
 
-    return FunctionFamily(n, q, UNIVERSAL, k, _dedupe(chosen), meta=meta)
+    return FunctionFamily(n, q, UNIVERSAL, k, tuple(chosen), meta=meta)
 
 
 def _candidate_pool(n: int, q: int, rng: random.Random) -> np.ndarray:
-    rows = [[rng.randint(1, q) for _ in range(n)] for _ in range(POOL_RANDOM)]
-    for _ in range(POOL_BLOCK):
-        blocks = max(2, min(n, 2 * q))
-        labels = [rng.randrange(blocks) for _ in range(n)]
-        values = [rng.randint(1, q) for _ in range(blocks)]
-        rows.append([values[labels[i]] for i in range(n)])
-    return np.array(rows, dtype=np.int64)
+    """Candidate functions as columns of colors minus 1, shape (n, pool).
+    Each entry is a random 32-bit word mod its range (bias below range /
+    2^32), drawn from the stdlib generator: numpy.random, and the import it
+    costs on first use, stay out of the derand path."""
+    def draw(high: int, rows: int, cols: int) -> np.ndarray:
+        words = np.frombuffer(rng.randbytes(4 * rows * cols), dtype="<u4")
+        return (words % high).astype(np.int32).reshape(rows, cols)
+
+    blocks = max(2, min(n, 2 * q))
+    uniform, labels = draw(q, n, POOL_RANDOM), draw(blocks, n, POOL_BLOCK)
+    return np.hstack([uniform, np.take_along_axis(draw(q, blocks, POOL_BLOCK), labels, axis=0)])
 
 
-def _bespoke_repair(n: int, q: int, subsets, uncovered) -> tuple[int, ...]:
-    """One function realizing the first uncovered constraint exactly."""
-    for si, s in enumerate(subsets):
-        if uncovered[si]:
-            code = min(uncovered[si])
-            f = [1] * n
-            for pos in reversed(s):
-                f[pos] = code % q + 1
-                code //= q
-            return tuple(f)
-    raise AssertionError("repair called with nothing uncovered")
+def _bespoke_repair(n: int, q: int, subsets: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
+    """One function (colors minus 1) realizing the first uncovered constraint exactly."""
+    si = int(uncovered.any(1).argmax())
+    code = int(uncovered[si].argmax())
+    f = np.zeros(n, dtype=np.int32)
+    for pos in reversed(subsets[si].tolist()):
+        f[pos] = code % q
+        code //= q
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +228,10 @@ def compose_universal(n: int, k: int, q: int, seed: int = 0) -> FunctionFamily:
     for fa in fam_a.functions:
         for fb in fam_b.functions:
             block_of = [fb[fa[x] - 1] for x in range(n)]  # block index per domain point
-            hashed = [fa[x] for x in range(n)]
             for picks in product(range(len(d_funcs)), repeat=b):
                 g = [d_funcs[i] for i in picks]
-                funcs.append(tuple(g[block_of[x] - 1][hashed[x] - 1] for x in range(n)))
-    return FunctionFamily(n, q, UNIVERSAL, k, _dedupe(funcs),
+                funcs.append(tuple(g[block_of[x] - 1][fa[x] - 1] for x in range(n)))
+    return FunctionFamily(n, q, UNIVERSAL, k, tuple(dict.fromkeys(funcs)),
                           meta=f"compose({n},{k},{q};b={b},part={part})")
 
 
@@ -326,7 +296,9 @@ def coloring_family(n: int, k: int, ell: int, seed: int = 0) -> FunctionFamily:
     """Universal family sized for derandomizing the coloring solver: palette
     2*ceil(sqrt(ell)) + 2, subset size 6k + 8*ell clamped to n (the class
     argument needs that many vertices colored specifically; n is the size of
-    the largest block, and a smaller block is covered whole)."""
+    the largest block, and a smaller block is covered whole).  Built by
+    `build_universal_greedy`, whose seeded generator makes it deterministic
+    for a given seed; at the clamp it is the full q^n table."""
     from .graph import palette_size
 
     target = min(n, 6 * k + 8 * ell)

@@ -110,8 +110,7 @@ def cycle_graph(ids: Iterable[int]) -> Graph:
     seq = list(ids)
     if len(seq) < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    es = [(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
-    return Graph.build(seq, es)
+    return Graph.build(seq, zip(seq, seq[1:] + seq[:1]))
 
 
 def complete_graph(ids: Iterable[int]) -> Graph:
@@ -289,18 +288,12 @@ def _degeneracy_greedy_colors(g: Graph, first_color: int) -> dict[int, int]:
     colors: dict[int, int] = {}
     for v in reversed(order):
         used = {colors[y] for y in g.adjacency[v] if y in colors}
-        c = first_color
-        while c in used:
-            c += 1
-        colors[v] = c
+        colors[v] = min(set(range(first_color, first_color + len(used) + 1)) - used)
     return colors
 
 
 def _ceil_sqrt(x: int) -> int:
-    if x <= 0:
-        return 0
-    r = math.isqrt(x)
-    return r if r * r == x else r + 1
+    return math.isqrt(x - 1) + 1 if x > 0 else 0
 
 
 def palette_size(ell: int) -> int:

@@ -9,8 +9,9 @@ logs that replay against the original instance: "instance k <k> ell <ell>",
 longpath u1 v1 u2 v2 ..." (the edges of every long run, contracted at once),
 "step twin <v> <neighbors>" or "step commonnbr <d> u1 v1 u2 v2 ...".
 
-Exit codes: 0 decided yes, 1 decided no (in rand mode: no witness found,
-printed as decision=not-found, which certifies nothing), 2 error.  Every
+Exit codes: 0 decided yes, 1 decided no (in rand mode, and in derand mode
+with a family file not verified universal: no witness found, printed as
+decision=not-found, which certifies nothing), 2 error.  Every
 solver answer is re-verified through the witness checker before it is
 printed.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ParseError, SizeCapError
 from .families import (
+    UNIVERSAL,
     FunctionFamily,
     build_hash_splitter,
     build_interval_splitter,
@@ -33,7 +35,7 @@ from .families import (
     coloring_family,
     verify_family,
 )
-from .graph import Graph, Instance, biconnected_blocks, edge
+from .graph import Graph, Instance, biconnected_blocks, edge, palette_size
 from .kernel import (
     CommonNbrContract,
     KernelTrace,
@@ -45,6 +47,7 @@ from .kernel import (
 )
 from .oracle import exact_opt
 from .solver import (
+    EXHAUSTIVE_VERTEX_CAP,
     ExhaustiveColorings,
     FamilyColorings,
     RandomColorings,
@@ -63,15 +66,19 @@ DESK_VERTEX_CAP = 64
 # ---------------------------------------------------------------------------
 # graph text format
 
+def _records(text: str, comment: str = "c"):
+    """(line number, fields) of each line that is neither blank nor a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line.split()
+
+
 def parse_graph(text: str) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate header", lineno)
@@ -112,12 +119,9 @@ def parse_graph(text: str) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     """Vertices renumbered 1..n in sorted-id order; round trips up to that relabeling."""
-    order = sorted(g.vertices)
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    lines = [f"p {g.n} {g.m}"]
-    for u, v in sorted(edge(rank[a], rank[b]) for a, b in g.edges):
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+    rank = {v: i for i, v in enumerate(sorted(g.vertices), start=1)}
+    edges = sorted(edge(rank[a], rank[b]) for a, b in g.edges)
+    return "\n".join([f"p {g.n} {g.m}"] + [f"e {u} {v}" for u, v in edges]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +133,9 @@ def serialize_witness(w: WitnessStructure) -> str:
 
 def parse_witness(text: str) -> WitnessStructure:
     bags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, parts in _records(text):
         try:
-            bags.append([int(x) for x in line.split()])
+            bags.append([int(x) for x in parts])
         except ValueError:
             raise ParseError("bag lines hold integers", lineno) from None
     if not bags:
@@ -149,11 +150,7 @@ def serialize_edge_set(edges) -> str:
 
 def parse_edge_set(text: str) -> frozenset[tuple[int, int]]:
     out = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] == "e":
             parts = parts[1:]
         if len(parts) != 2:
@@ -169,20 +166,14 @@ def parse_edge_set(text: str) -> frozenset[tuple[int, int]]:
 # family text format
 
 def serialize_family(fam: FunctionFamily) -> str:
-    lines = [f"family {fam.n} {fam.q} {fam.kind} {fam.k}"]
-    for f in fam.functions:
-        lines.append(" ".join(str(c) for c in f))
-    return "\n".join(lines) + "\n"
+    lines = [" ".join(map(str, f)) for f in fam.functions]
+    return "\n".join([f"family {fam.n} {fam.q} {fam.kind} {fam.k}"] + lines) + "\n"
 
 
 def parse_family(text: str) -> FunctionFamily:
     header = None
     funcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c "):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text, comment="c "):
         if parts[0] == "family":
             if header is not None:
                 raise ParseError("duplicate family header", lineno)
@@ -235,11 +226,7 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
     k = ell = None
     resolved: str | None = None
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         if parts[0] == "instance":
             k, ell = int(parts[2]), int(parts[4])
         elif parts[0] == "reduced-k":
@@ -286,8 +273,7 @@ def gen_hardness_gadget(g: Graph, k: int, ell: int) -> Instance:
         fresh += k + 2
         verts.update(ring)
         chain = [anchor, *ring, anchor]
-        for i in range(len(chain) - 1):
-            edges.add(edge(chain[i], chain[i + 1]))
+        edges.update(edge(a, b) for a, b in zip(chain, chain[1:]))
     return Instance(Graph(frozenset(verts), frozenset(edges)), k, ell)
 
 
@@ -337,10 +323,9 @@ def _read(path: str | None) -> str:
 
 
 def _write(path: str | None, text: str):
-    if path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: str = "") -> str:
@@ -350,10 +335,11 @@ def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: 
     return base + (f" {extra}" if extra else "")
 
 
-def _emit_solution(cfg: RunConfig, g: Graph, sol: ContractionSolution | None) -> int:
+def _emit_solution(cfg: RunConfig, g: Graph, sol: ContractionSolution | None,
+                   certified: bool = True) -> int:
     if sol is None:
-        # random colorings that miss certify nothing; the exit code stays 1
-        print(_result_line(None if cfg.mode == "rand" else False, cfg.k + 1, cfg.mode, cfg.seed))
+        # a miss that certifies nothing is not-found; the exit code stays 1
+        print(_result_line(False if certified else None, cfg.k + 1, cfg.mode, cfg.seed))
         return 1
     structure = witness_from_solution(g, sol.edges)
     check = verify_witness(g, structure, cfg.ell, cfg.k)
@@ -364,6 +350,35 @@ def _emit_solution(cfg: RunConfig, g: Graph, sol: ContractionSolution | None) ->
     listing = ",".join(f"{u}-{v}" for u, v in sorted(sol.edges)) or "none"
     print(_result_line(True, sol.cost, cfg.mode, cfg.seed, extra=f"edges={listing}"))
     return 0
+
+
+def _certifies_no(fam: FunctionFamily, largest: int, k: int, ell: int) -> bool:
+    """Whether a family-mode miss is a certified no: the family must be
+    universal, with palette_size(ell) colors or more, for subsets of
+    min(largest block, 6k + 8 ell) positions or more (and no more than its
+    domain, where universality would hold vacuously), and pass verification
+    within its cap."""
+    if not (fam.kind == UNIVERSAL and fam.q >= palette_size(ell)
+            and min(largest, 6 * k + 8 * ell) <= fam.k <= fam.n):
+        return False
+    try:
+        return verify_family(fam)
+    except SizeCapError:
+        return False
+
+
+def _solve_by_shape(g: Graph, k: int, ell: int, mode) -> ContractionSolution | None:
+    """`solve` on g renumbered by degree, then by the sorted degrees of the
+    neighbours (ties by id), mapped back to g's ids.  The scan's order, and
+    so its cost, then follows the graph's shape rather than its vertex ids:
+    relabelled copies of a graph cost the same to decide."""
+    order = sorted(g.vertices,
+                   key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))
+    rank = {v: i for i, v in enumerate(order, start=1)}
+    h = Graph.build(range(1, g.n + 1), ((rank[u], rank[v]) for u, v in g.edges))
+    sol = solve(Instance(h, k, ell), mode)
+    return None if sol is None else ContractionSolution.of(
+        ((order[u - 1], order[v - 1]) for u, v in sol.edges), k)
 
 
 def run(cfg: RunConfig) -> int:
@@ -380,15 +395,26 @@ def run(cfg: RunConfig) -> int:
         elif cfg.mode == "exhaustive":
             mode = ExhaustiveColorings()
         else:
+            # the solver colors one block at a time, by rank
+            largest = max((b.n for b in biconnected_blocks(g)), default=1)
             if cfg.family_file:
                 fam = parse_family(_read(cfg.family_file))
+                mode = FamilyColorings(fam.functions, fam.n)
+            elif largest <= min(6 * cfg.k + 8 * cfg.ell, EXHAUSTIVE_VERTEX_CAP):
+                # the family would be every q-coloring of the block; scanning
+                # the connected partitions instead is equally complete
+                mode = ExhaustiveColorings()
             else:
-                # the solver colors one block at a time, by rank
-                largest = max((b.n for b in biconnected_blocks(g)), default=1)
                 fam = coloring_family(largest, cfg.k, cfg.ell, seed=cfg.seed)
-            mode = FamilyColorings(fam.functions, fam.n)
-        sol = solve(Instance(g, cfg.k, cfg.ell), mode)
-        return _emit_solution(cfg, g, sol)
+                mode = FamilyColorings(fam.functions, fam.n)
+        if cfg.mode == "derand" and not cfg.family_file:
+            sol = _solve_by_shape(g, cfg.k, cfg.ell, mode)
+        else:
+            sol = solve(Instance(g, cfg.k, cfg.ell), mode)
+        certified = cfg.mode != "rand"
+        if sol is None and cfg.family_file:
+            certified = _certifies_no(fam, largest, cfg.k, cfg.ell)
+        return _emit_solution(cfg, g, sol, certified)
 
     if cfg.mode == "verify":
         g = parse_graph(_read(cfg.infile))
@@ -417,13 +443,14 @@ def run(cfg: RunConfig) -> int:
         original = Instance(g, k0, ell0)
         # the reduced graph was written renumbered 1..n; translate the
         # solution back into the trace's (original merged) ids
-        order = sorted(replay(original, trace)[-1].graph.vertices)
+        stages, merges = replay(original, trace)
+        order = sorted(stages[-1].graph.vertices)
         back = dict(enumerate(order, start=1))
         outside = sorted(v for e in f_reduced for v in e if v not in back)
         if outside:
             raise InputError(f"solution vertex {outside[0]} outside the reduced graph's 1..{len(order)}")
         f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
-        lifted = lift_solution(original, trace, f_reduced)
+        lifted = lift_solution(original, trace, f_reduced, (stages, merges))
         check = verify_witness(g, witness_from_solution(g, lifted), ell0, k0)
         _write(cfg.out, serialize_edge_set(lifted))
         print(_result_line(check.valid, min(len(lifted), k0 + 1), cfg.mode, cfg.seed))

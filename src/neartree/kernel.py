@@ -242,13 +242,17 @@ def kernelize_exact(instance: Instance) -> tuple[Instance, KernelTrace]:
 # ---------------------------------------------------------------------------
 # replay and lifting
 
-def replay(original: Instance, trace: KernelTrace) -> list[Instance]:
-    """Forward application of the trace; returns every stage, source first.
+def replay(original: Instance, trace: KernelTrace,
+           ) -> tuple[list[Instance], list[MergeMap | None]]:
+    """Forward application of the trace.  Returns every stage, source first,
+    and for each step the merge map of its contraction (None for a twin
+    deletion), which `lift_solution` inverts.
 
     Raises InputError when a step does not fit the graph it is applied to,
     which is the trace/instance-mismatch guard for lifting.
     """
     stages = [original]
+    merges: list[MergeMap | None] = []
     cur = original
     for step in trace.steps:
         g, k, ell = cur.graph, cur.k, cur.ell
@@ -256,15 +260,17 @@ def replay(original: Instance, trace: KernelTrace) -> list[Instance]:
             if step.vertex not in g.vertices:
                 raise InputError(f"trace mismatch: vertex {step.vertex} absent")
             cur = Instance(g.without([step.vertex]), k, ell)
+            merges.append(None)
         elif isinstance(step, (LongPathContract, CommonNbrContract)):
-            contracted, _ = contract_edges(g, step.contracted)  # raises on absent edges
+            contracted, merge = contract_edges(g, step.contracted)  # raises on absent edges
             if isinstance(step, CommonNbrContract):
                 k -= step.d - 1
             cur = Instance(contracted, k, ell)
+            merges.append(merge)
         else:
             raise InputError(f"unknown step {step!r}")
         stages.append(cur)
-    return stages
+    return stages, merges
 
 
 def _lift_through(f: frozenset[Edge], pre: Graph, merge: MergeMap) -> frozenset[Edge]:
@@ -279,7 +285,9 @@ def _lift_through(f: frozenset[Edge], pre: Graph, merge: MergeMap) -> frozenset[
 
 
 def lift_solution(original: Instance, trace: KernelTrace,
-                  f_reduced: frozenset[Edge] | set[Edge]) -> frozenset[Edge]:
+                  f_reduced: frozenset[Edge] | set[Edge],
+                  replayed: tuple[list[Instance], list[MergeMap | None]] | None = None,
+                  ) -> frozenset[Edge]:
     """Map a solution of the reduced instance back to the original one.
 
     Twin steps keep the edge set.  Both contraction steps map each edge back
@@ -287,24 +295,23 @@ def lift_solution(original: Instance, trace: KernelTrace,
     the lossy rule then adds its contracted star back.  Whenever the running
     solution already exceeds the budget of the stage it solves, the lift
     gives up and returns every original edge, as does a reduced instance
-    flagged no.
+    flagged no.  `replayed` is `replay(original, trace)` when the caller
+    already has it.
     """
     if trace.resolved == "no":
         return frozenset(original.graph.edges)
-    stages = replay(original, trace)
+    stages, merges = replayed or replay(original, trace)
     f = frozenset(edge(u, v) for u, v in f_reduced)
     if not f <= stages[-1].graph.edges:
         raise InputError("reduced solution uses edges outside the reduced graph")
 
     for idx in range(len(trace.steps) - 1, -1, -1):
-        step = trace.steps[idx]
-        pre, post = stages[idx], stages[idx + 1]
-        if len(f) >= post.k + 1:
+        step, merge = trace.steps[idx], merges[idx]
+        if len(f) >= stages[idx + 1].k + 1:
             return frozenset(original.graph.edges)
-        if isinstance(step, TwinDelete):
-            continue  # edges of the smaller graph are edges of the larger one
-        _, merge = contract_edges(pre.graph, step.contracted)
-        f = _lift_through(f, pre.graph, merge)
+        if merge is None:
+            continue  # a twin deletion: edges of the smaller graph are edges of the larger one
+        f = _lift_through(f, stages[idx].graph, merge)
         if isinstance(step, CommonNbrContract):
             f = f | frozenset(step.contracted)
     return f

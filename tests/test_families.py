@@ -96,6 +96,12 @@ class TestGreedyUniversal:
             assert len(fam) <= 2 * _greedy_size_bound(n, k, q), (n, k, q, len(fam))
 
 
+    def test_same_seed_same_family(self):
+        for (n, k, q) in [(7, 6, 2), (8, 6, 2), (12, 3, 4)]:
+            fam = build_universal_greedy(n, k, q, seed=3)
+            assert fam == build_universal_greedy(n, k, q, seed=3), (n, k, q)
+            assert verify_family(fam), (n, k, q)
+
 class TestCompose:
     def test_pairs_two_colors(self):
         fam = compose_universal(6, 2, 2)

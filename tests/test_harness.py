@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,14 @@ from helpers import connected_graphs, three_long_runs
 import neartree
 from neartree.errors import ParseError
 from neartree.families import build_interval_splitter, coloring_family
-from neartree.graph import Graph, Instance, complete_graph, cycle_graph, path_graph
+from neartree.graph import (
+    Graph,
+    Instance,
+    biconnected_blocks,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from neartree.harness import (
     gen_hardness_gadget,
     gen_random_instance,
@@ -372,6 +380,97 @@ class TestCli:
         fam_file.write_text(serialize_family(coloring_family(4, 3, 1)))
         assert main(args) == 2
         assert "smaller than a block of 5 vertices" in capsys.readouterr().err
+
+    def _write_c6_chord(self, tmp_path):
+        p = tmp_path / "c6_chord.graph"
+        p.write_text(serialize_graph(Graph.build(
+            range(1, 7), list(cycle_graph(range(1, 7)).edges) + [(1, 4)])))
+        return p
+
+    def test_unverified_family_file_miss_is_not_found(self, tmp_path, capsys):
+        # C6 with chord 1-4 is a yes at k = 3 (exact mode finds cost 3); a
+        # one-function family misses it, so its miss certifies nothing
+        args = ["--mode", "derand", "--k", "3", "--ell", "0",
+                "--in", str(self._write_c6_chord(tmp_path))]
+        fam_file = tmp_path / "fam.txt"
+        for header in ("family 6 2 splitter 3", "family 6 2 universal 6"):
+            fam_file.write_text(f"{header}\n1 2 1 2 1 2\n")
+            assert main([*args, "--family-file", str(fam_file)]) == 1, header
+            assert "result decision=not-found cost=4 mode=derand" in capsys.readouterr().out
+
+    def test_verified_family_file_miss_is_a_no(self, tmp_path, capsys):
+        # C7 needs 5 contractions; the greedy family for 6-subsets of 7
+        # positions verifies, so its miss is a certified no
+        src = tmp_path / "c7.graph"
+        src.write_text(serialize_graph(cycle_graph(range(1, 8))))
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(serialize_family(coloring_family(7, 1, 0)))
+        assert main(["--mode", "derand", "--k", "1", "--ell", "0", "--in", str(src),
+                     "--family-file", str(fam_file)]) == 1
+        assert "result decision=no cost=2 mode=derand" in capsys.readouterr().out
+
+    def test_derand_matches_the_oracle_on_random_graphs(self, tmp_path, capsys):
+        # blocks within 6k + 8 ell take the partition scan, larger ones a
+        # greedy family (k = 1, ell = 0 and a block of 7 or 8 vertices)
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        routes = set()
+        for n in range(4, 9):
+            for seed in range(6):
+                g = gen_random_instance(n, 0.45, 0, 0, seed=100 * n + seed).graph
+                largest = max(b.n for b in biconnected_blocks(g))
+                src.write_text(serialize_graph(g))
+                for k in (1, 2):
+                    for ell in (0, 1):
+                        routes.add(largest <= 6 * k + 8 * ell)
+                        want = exact_decide(Instance(g, k, ell))
+                        code = main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                                     "--in", str(src), "--out", str(out), "--seed", str(seed)])
+                        printed = capsys.readouterr().out
+                        case = (sorted(g.edges), k, ell)
+                        assert code == (0 if want else 1), case
+                        assert ("decision=yes" if want else "decision=no ") in printed, case
+                        if want:
+                            assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
+        assert routes == {True, False}
+
+    def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys):
+        # C14 with chord 1-8: one 14-vertex block, more than the exhaustive
+        # cap, so derand scans the full 2^14 table instead
+        g = Graph.build(range(1, 15), list(cycle_graph(range(1, 15)).edges) + [(1, 8)])
+        src = tmp_path / "c14_chord.graph"
+        src.write_text(serialize_graph(g))
+        assert not exact_decide(Instance(g, 3, 0))
+        assert main(["--mode", "derand", "--k", "3", "--ell", "0", "--in", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert "result decision=no cost=4 mode=derand" in captured.out
+        assert captured.err == ""
+
+    def test_derand_follows_the_shape_not_the_ids(self, tmp_path, capsys):
+        # every vertex here has its own degree and neighbour degrees, so
+        # derand decides each relabelled copy the same way: the same decision
+        # and cost and, for a yes, the image of the same witness; (1, 0) takes a
+        # greedy family (one 8-vertex block), the others the partition scan
+        edges = [(1, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (4, 8),
+                 (5, 6), (5, 7), (6, 9), (8, 9)]
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        for k, ell in ((1, 0), (2, 0), (3, 0), (2, 2)):
+            seen = set()
+            for perm_seed in range(4):
+                ids = list(range(1, 10))
+                random.Random(perm_seed).shuffle(ids)
+                back = {new: old for old, new in enumerate(ids, start=1)}
+                src.write_text(serialize_graph(Graph.build(
+                    range(1, 10), [(ids[u - 1], ids[v - 1]) for u, v in edges])))
+                code = main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                             "--in", str(src), "--out", str(out)])
+                bags = ()
+                if code == 0:
+                    bags = tuple(sorted(tuple(sorted(back[v] for v in bag))
+                                        for bag in parse_witness(out.read_text()).bags))
+                line = capsys.readouterr().out.split(" edges=")[0]  # edges in the copy's ids
+                seen.add((code, line, bags))
+            assert len(seen) == 1, (k, ell, seen)
+            assert next(iter(seen))[0] == (1 if (k, ell) in ((1, 0), (2, 0)) else 0)
 
     def test_module_entrypoint(self, tmp_path):
         g = self._write_c4(tmp_path)

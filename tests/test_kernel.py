@@ -174,7 +174,7 @@ class TestKernelize:
         red, trace = kernelize(inst, 2.0)
         assert trace.steps
         assert red.graph.n <= size_bound(1, 0, 2)
-        stages = replay(inst, trace)
+        stages, _ = replay(inst, trace)
         assert stages[-1].graph == red.graph and stages[-1].k == red.k
 
     def test_members_resolve_yes(self):
