@@ -46,7 +46,6 @@ from .kernel import (
 )
 from .oracle import exact_decide, exact_opt
 from .solver import (
-    Coloring,
     ComponentCase,
     ExhaustiveColorings,
     FamilyColorings,
@@ -69,7 +68,6 @@ from .witness import (
 )
 
 __all__ = [
-    "Coloring",
     "ComponentCase",
     "ConnectivityReport",
     "ContractionSolution",

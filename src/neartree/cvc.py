@@ -1,9 +1,10 @@
 """Exact connected vertex cover, and the shatter of a component built on it.
 
-The cover solver replaces the literature's 2^k black box behind the same
-interface: exact up to the given budget, canonical tie-breaking.  A shatter
-of a vertex set X splits it into one connected cover of G[X] that contains
-every boundary vertex of X, plus singletons.
+Both rest on one search over the bit masks of `graph.MaskIndex`: the
+smallest connected vertex cover of G[x] that contains a required vertex
+set, exact up to a budget, ties broken toward the lexicographically smallest
+sorted vertex list.  A shatter of a vertex set X splits it into such a
+cover that contains every boundary vertex of X (the core), plus singletons.
 """
 
 from __future__ import annotations
@@ -12,62 +13,73 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InputError, InternalError
-from .graph import Graph
+from .errors import InputError
+from .graph import Graph, bits, is_connected_mask, mask_index
 
 
-def _branch_covers(g: Graph, limit: int) -> set[frozenset[int]]:
-    """All covers of size <= limit reachable by branching on an uncovered edge.
+def _covers(adj: tuple[int, ...], x: int, chosen: int, budget: int):
+    """Vertex covers of G[x] containing `chosen`, of at most `budget`
+    vertices, each listed once: branch on the lowest vertex u with an
+    uncovered edge, which joins the cover or leaves all its uncovered
+    neighbors to it.  Every cover within the budget that contains `chosen`
+    contains one of them."""
+    if chosen.bit_count() > budget:
+        return
+    free = x & ~chosen
+    for u in bits(free):
+        loose = adj[u] & free
+        if loose:
+            yield from _covers(adj, x, chosen | 1 << u, budget)
+            yield from _covers(adj, x, chosen | loose, budget)
+            return
+    yield chosen
 
-    Includes every minimal vertex cover within the limit, which is all the
-    augmentation step below needs.
+
+def connected_cover(adj: tuple[int, ...], x: int, required: int, budget: int) -> int | None:
+    """Smallest connected vertex cover of G[x] that contains `required`, if
+    one of at most `budget` vertices exists; ties go to the lexicographically
+    smallest sorted vertex list.  The empty set covers an edgeless G[x].
+
+    Enumerate and expand (Moelle, Richter & Rossmanith, Theory Comput. Syst.
+    2008): the covers of `_covers` are listed once, and each is expanded by
+    the fewest extra vertices that connect it, extras tried in lexicographic
+    order and never more than the best cover found so far allows.
     """
-    out: set[frozenset[int]] = set()
-    edges = sorted(g.edges)
+    found = []
+    top = budget
+    for cover in _covers(adj, x, required, budget):
+        rest = [1 << i for i in bits(x & ~cover)]
+        for size in range(top - cover.bit_count() + 1):
+            joined = (cover | sum(extra) for extra in combinations(rest, size))
+            hit = next((c for c in joined if is_connected_mask(adj, c)), None)
+            if hit is not None:
+                found.append(hit)
+                top = hit.bit_count()
+                break
+    return min(found, key=lambda c: (c.bit_count(), list(bits(c))), default=None)
 
-    def rec(chosen: frozenset[int]):
-        if len(chosen) > limit:
-            return
-        uncovered = next((e for e in edges if e[0] not in chosen and e[1] not in chosen), None)
-        if uncovered is None:
-            out.add(chosen)
-            return
-        u, v = uncovered
-        rec(chosen | {u})
-        rec(chosen | {v})
 
-    rec(frozenset())
-    return out
+def _boundary(adj: tuple[int, ...], x: int) -> int:
+    """The vertices of x with a neighbor outside x."""
+    return sum(1 << i for i in bits(x) if adj[i] & ~x)
+
+
+def shatter_core(adj: tuple[int, ...], x: int, budget: int) -> int | None:
+    """Core of the minimum shatter of a connected x of two or more vertices:
+    its smallest connected cover that contains x's boundary."""
+    return connected_cover(adj, x, _boundary(adj, x), min(budget, x.bit_count()))
 
 
 def min_connected_vertex_cover(g: Graph, budget: int) -> frozenset[int] | None:
-    """Minimum-size connected vertex cover if one of size <= budget exists.
-
-    Iterative deepening on the total size: candidate covers come from edge
-    branching, then each is connected by exhaustively adding leftover
-    vertices.  Ties break toward the lexicographically smallest vertex set.
-    The empty set counts as the (vacuously connected) cover of an edgeless
-    graph.
-    """
-    if g.n > 1 and not g.is_connected():
+    """Minimum-size connected vertex cover if one of size <= budget exists,
+    ties broken toward the lexicographically smallest vertex set.  The empty
+    set counts as the (vacuously connected) cover of an edgeless graph."""
+    idx = mask_index(g)
+    full = (1 << g.n) - 1
+    if not is_connected_mask(idx.adj, full):
         raise InputError("connected vertex cover needs a connected graph")
-    if budget < 0:
-        return None
-    if not g.edges:
-        return frozenset()
-
-    for size in range(1, budget + 1):
-        candidates: set[frozenset[int]] = set()
-        for cover in _branch_covers(g, size):
-            slack = size - len(cover)
-            rest = sorted(g.vertices - cover)
-            for extra in combinations(rest, slack):
-                cand = cover | frozenset(extra)
-                if g.subgraph(cand).is_connected():
-                    candidates.add(cand)
-        if candidates:
-            return min(candidates, key=sorted)
-    return None
+    cover = connected_cover(idx.adj, full, 0, budget)
+    return None if cover is None else idx.members(cover)
 
 
 @dataclass(frozen=True)
@@ -77,41 +89,22 @@ class Shatter:
     core: frozenset[int]
     singletons: frozenset[int]
 
-    def size(self) -> int:
-        return len(self.core)
-
 
 def boundary(g: Graph, x: Iterable[int]) -> frozenset[int]:
     """Vertices of x with at least one neighbor outside x."""
-    xs = frozenset(x)
-    return frozenset(v for v in xs if g.neighbors(v) - xs)
+    idx = mask_index(g)
+    return idx.members(_boundary(idx.adj, idx.mask(x)))
 
 
 def min_shatter(g: Graph, x: Iterable[int], budget: int) -> Shatter | None:
     """Minimum shatter of x: the smallest connected vertex cover of G[x] that
-    contains all boundary vertices of x, found by attaching a pendant to each
-    boundary vertex and covering the augmented graph.
-
-    A minimum connected cover never keeps a degree-one vertex, so the
-    pendants force their anchors into the core without ever joining it.
-    """
-    xs = frozenset(x)
-    sub = g.subgraph(xs)
-    if not sub.is_connected():
+    contains all boundary vertices of x (a single vertex is its own core)."""
+    idx = mask_index(g)
+    xm = idx.mask(x)
+    if not xm or not is_connected_mask(idx.adj, xm):
         raise InputError("shatter needs a set inducing a connected subgraph")
-    if len(xs) == 1:
-        return Shatter(xs, frozenset()) if budget >= 1 else None
-
-    anchors = sorted(boundary(g, xs))
-    fresh = max(g.vertices) + 1
-    pendant_edges = [(a, fresh + i) for i, a in enumerate(anchors)]
-    aug = Graph.build(
-        list(xs) + [p for _, p in pendant_edges],
-        list(sub.edges) + pendant_edges,
-    )
-    core = min_connected_vertex_cover(aug, min(budget, len(xs)))
-    if core is None:
-        return None
-    if any(p in core for _, p in pendant_edges) or not frozenset(anchors) <= core:
-        raise InternalError("minimum cover took a pendant or missed a boundary vertex")
-    return Shatter(core, xs - core)
+    if xm.bit_count() == 1:
+        core = xm if budget >= 1 else None
+    else:
+        core = shatter_core(idx.adj, xm, budget)
+    return None if core is None else Shatter(idx.members(core), idx.members(xm & ~core))

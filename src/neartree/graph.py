@@ -123,6 +123,67 @@ def star_graph(center: int, leaves: Iterable[int]) -> Graph:
     return Graph.build([center, *ls], [(center, x) for x in ls])
 
 
+# ---------------------------------------------------------------------------
+# bit-mask index: the representation of the coloring scan
+
+@dataclass(frozen=True)
+class MaskIndex:
+    """A graph's vertices in sorted order, and each one's neighbors as a bit
+    mask over that order: bit i stands for verts[i]."""
+
+    verts: tuple[int, ...]
+    adj: tuple[int, ...]
+
+    def mask(self, vs: Iterable[int]) -> int:
+        pos = {v: i for i, v in enumerate(self.verts)}
+        return sum(1 << pos[v] for v in set(vs))
+
+    def members(self, mask: int) -> frozenset[int]:
+        return frozenset(self.verts[i] for i in bits(mask))
+
+
+def mask_index(g: Graph) -> MaskIndex:
+    verts = tuple(sorted(g.vertices))
+    pos = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for u, v in g.edges:
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
+    return MaskIndex(verts, tuple(adj))
+
+
+def bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reach(adj: tuple[int, ...], mask: int) -> int:
+    """The union of the neighborhoods of the vertices in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def flood(adj: tuple[int, ...], seed: int, within: int) -> int:
+    """The vertices of `within` reachable from `seed` inside it."""
+    done = frontier = seed
+    while frontier:
+        frontier = reach(adj, frontier) & within & ~done
+        done |= frontier
+    return done
+
+
+def is_connected_mask(adj: tuple[int, ...], mask: int) -> bool:
+    """Whether mask induces a connected subgraph (the empty mask does)."""
+    return flood(adj, mask & -mask, mask) == mask
+
+
 @dataclass(frozen=True)
 class Instance:
     """A solving unit: graph, contraction budget k, excess allowance ell.
@@ -153,6 +214,29 @@ def is_near_tree(g: Graph, ell: int) -> bool:
     return g.is_connected() and g.m <= g.n - 1 + ell
 
 
+def spanning_forest(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[list[Edge], MergeMap]:
+    """Union-find over `edges` in the order given: the edges that joined two
+    groups (a spanning forest of them), and every vertex's group, named by
+    its smallest member."""
+    parent = {v: v for v in vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    forest = []
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            if ru > rv:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            forest.append((u, v))
+    return forest, {v: find(v) for v in parent}
+
+
 def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, MergeMap]:
     """Contract every edge of f simultaneously.
 
@@ -166,23 +250,7 @@ def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, Merge
     if unknown:
         raise InputError(f"cannot contract edges missing from the graph: {sorted(unknown)}")
 
-    parent: dict[int, int] = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in fset:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # keep the smaller id as the representative
-            if ru > rv:
-                ru, rv = rv, ru
-            parent[rv] = ru
-
-    merge: MergeMap = {v: find(v) for v in g.vertices}
+    _, merge = spanning_forest(g.vertices, fset)
     new_vertices = frozenset(merge.values())
     new_edges = set()
     for u, v in g.edges:

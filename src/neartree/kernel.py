@@ -170,7 +170,9 @@ def reduce_common_neighborhood(instance: Instance, alpha: float,
 def size_bound(k: int, ell: int, d: int) -> int:
     """Explicit vertex bound for reduced undecided instances: the high part
     is at most 2(k+3)(k+2*ell), the rest at most 8(k+3)^2(k+2*ell)^2, and the
-    independent part at most (k+ell+2) * (C(high, d-1) + C(high, d))."""
+    independent part at most (k+ell+2) * (C(high, d-1) + C(high, d)).  The kernel
+    does not decide by it: it fails for yes instances with large pendant
+    trees, which no rule here removes."""
     h = 2 * (k + 3) * (k + 2 * ell)
     r = 8 * (k + 3) ** 2 * (k + 2 * ell) ** 2
     i = (k + ell + 2) * (comb(h, d - 1) + comb(h, d))
@@ -192,11 +194,10 @@ def _preliminary(instance: Instance) -> str | None:
 
 def kernelize(instance: Instance, alpha: float) -> tuple[Instance, KernelTrace]:
     """Apply the three rules exhaustively (long paths, then twins, then common
-    neighborhoods), interleaved with the basic decision rules; if the
-    undecided result still exceeds the explicit size bound, the instance is a
-    no (the bound holds for every yes instance) and lifting hands back the
-    full edge set."""
-    d = lossy_degree(alpha)
+    neighborhoods), interleaved with the basic decision rules.  Only those
+    rules decide: an undecided result above `size_bound` stays undecided,
+    because without a rule for degree-1 vertices the bound does not hold for
+    yes instances (a large tree with one triangle needs one contraction)."""
     steps: list[Step] = []
     cur = instance
     resolved = None
@@ -217,8 +218,6 @@ def kernelize(instance: Instance, alpha: float) -> tuple[Instance, KernelTrace]:
             steps.append(step)
             continue
         break
-    if resolved is None and cur.graph.n > size_bound(cur.k, cur.ell, d):
-        resolved = "no"
     return cur, KernelTrace(tuple(steps), resolved)
 
 

@@ -19,6 +19,15 @@ cost passes the budget.  Contracting all but one vertex of a block always
 reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
 at least 3 vertices, the case the coloring argument covers.
 
+All three modes scan a block on one bit-mask index built once per block
+(`graph.MaskIndex`): colorings become color-class masks split into
+components by one mask flood, classification counts bits, the shatter is
+`cvc.shatter_core` on the same masks, and the quotient's excess comes from
+bag reach masks; a witness structure is built only for a witness that
+improves the block's profile.  The set-based public functions
+(`monochromatic_components`, `classify_component`, `refine_coloring`) are
+thin adapters over that core.
+
 Soundness is unconditional: every returned solution is re-verified before it
 leaves this module.  Completeness of exhaustive mode rests on the fact that
 the refinement outcome depends on a coloring only through its monochromatic
@@ -33,18 +42,24 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
-from .cvc import Shatter, min_shatter
+from .cvc import shatter_core
 from .errors import InputError, InternalError, SizeCapError
 from .graph import (
     Graph,
     Instance,
+    MaskIndex,
     analyze_connectivity,
     biconnected_blocks,
+    bits,
     excess,
+    flood,
+    is_connected_mask,
     is_near_tree,
+    mask_index,
     palette_size,
+    reach,
 )
 from .witness import (
     ContractionSolution,
@@ -86,74 +101,47 @@ class FamilyColorings:
     functions: tuple[tuple[int, ...], ...]
     domain: int  # functions map [domain] -> colors; blocks may have <= domain vertices
 
-    @cached_property
-    def distinct(self) -> tuple[tuple[int, ...], ...]:
-        """One representative per induced partition of the domain.
 
-        The refinement outcome of a coloring depends only on its color
-        classes, and a partition of the domain fixes the partition of every
-        prefix, so functions sharing a partition are interchangeable on
-        every block.  First occurrence wins.
-        """
-        seen: set[tuple[int, ...]] = set()
-        out = []
-        for f in self.functions:
-            key = tuple(map(f.index, f))  # first position of each color
-            if key not in seen:
-                seen.add(key)
-                out.append(f)
-        return tuple(out)
-
-
-def default_iterations(g: Graph, k: int, ell: int) -> int:
-    """min((2*ceil(sqrt(ell)) + 2)^(6k + 8*ell), 10 * q^n); both are fall-backs,
-    explicit iteration counts are preferred."""
+def default_iterations(n: int, k: int, ell: int) -> int:
+    """min((2*ceil(sqrt(ell)) + 2)^(6k + 8*ell), 10 * q^n) for a block of n
+    vertices; both are fall-backs, explicit iteration counts are preferred."""
     q = palette_size(ell)
-    return min(q ** (6 * k + 8 * ell), 10 * q ** g.n)
+    return min(q ** (6 * k + 8 * ell), 10 * q ** n)
 
 
 # ---------------------------------------------------------------------------
-# colorings and their components
+# colorings and their components, as masks over the block's index
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total color assignment with a declared palette size."""
-
-    assignment: tuple[tuple[int, int], ...]  # sorted (vertex, color) pairs
-    q: int
-
-    @staticmethod
-    def of(mapping: dict[int, int], q: int) -> "Coloring":
-        if any(c < 1 or c > q for c in mapping.values()):
-            raise InputError("color outside the declared palette")
-        return Coloring(tuple(sorted(mapping.items())), q)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
+def _classes(colors) -> list[int]:
+    """Color-class masks of a coloring listed in index order."""
+    classes: dict[int, int] = {}
+    for i, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << i
+    return list(classes.values())
 
 
-def monochromatic_components(g: Graph, coloring: Coloring) -> list[frozenset[int]]:
-    """Maximal connected same-color vertex sets; a partition of V, sorted by min id."""
-    colors = coloring.as_dict()
-    if set(colors) != set(g.vertices):
+def _components(adj: tuple[int, ...], classes: list[int]) -> tuple[int, ...]:
+    """Monochromatic components: the components of every color class, by
+    lowest vertex."""
+    comps = []
+    for rest in classes:
+        while rest:
+            comps.append(flood(adj, rest & -rest, rest))
+            rest ^= comps[-1]
+    return tuple(sorted(comps, key=lambda m: m & -m))
+
+
+def _coloring_parts(g: Graph, coloring: dict[int, int]) -> tuple[MaskIndex, tuple[int, ...]]:
+    if set(coloring) != set(g.vertices):
         raise InputError("coloring must be total on the vertex set")
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for start in sorted(g.vertices):
-        if start in seen:
-            continue
-        c = colors[start]
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.neighbors(x):
-                if y not in comp and colors[y] == c:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    idx = mask_index(g)
+    return idx, _components(idx.adj, _classes(coloring[v] for v in idx.verts))
+
+
+def monochromatic_components(g: Graph, coloring: dict[int, int]) -> list[frozenset[int]]:
+    """Maximal connected same-color vertex sets; a partition of V, sorted by min id."""
+    idx, parts = _coloring_parts(g, coloring)
+    return [idx.members(x) for x in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -170,134 +158,127 @@ class ComponentCase:
     component: frozenset[int]
 
 
-def _induced_path_ends(g: Graph, x: frozenset[int]) -> tuple[int, int] | None:
-    """If G[x] is a path, return its two end vertices."""
-    sub = g.subgraph(x)
-    if sub.m != len(x) - 1 or not sub.is_connected():
-        return None
-    ends = [v for v in x if sub.degree(v) == 1]
-    if len(ends) != 2:
-        return None
-    return min(ends), max(ends)
+def _classify(adj: tuple[int, ...], x: int, parts) -> str:
+    """Kind of a connected component x of the partition `parts` (masks).
+
+    Contract whole: G[x] is an induced path (no vertex of degree above two,
+    exactly two ends) whose interior vertices have no neighbor outside x, and
+    some single other part is adjacent to both path ends.  All singletons:
+    same path shape but no such part.  Everything else: shatter.  Size-1
+    components are trivially singletons.
+    """
+    if x & (x - 1) == 0:
+        return ALL_SINGLETONS
+    ends = []
+    for i in bits(x):
+        inner = (adj[i] & x).bit_count()
+        if inner > 2:
+            return SHATTER
+        if inner == 1:
+            ends.append(i)
+    if len(ends) != 2 or reach(adj, x & ~(1 << ends[0]) & ~(1 << ends[1])) & ~x:
+        return SHATTER
+    near_a, near_b = adj[ends[0]] & ~x, adj[ends[1]] & ~x
+    return CONTRACT_ALL if any(p & near_a and p & near_b for p in parts) else ALL_SINGLETONS
 
 
 def classify_component(g: Graph, x: frozenset[int],
                        partition: list[frozenset[int]]) -> ComponentCase:
-    """Decide how a monochromatic component contributes witness bags.
-
-    Contract whole: G[x] is an induced path whose interior vertices all have
-    degree 2 in g and some single other block of the partition is adjacent
-    to both path ends.  All singletons: same path shape but no such block.
-    Everything else: shatter.  Size-1 components are trivially singletons.
-    """
-    if len(x) == 1:
-        return ComponentCase(ALL_SINGLETONS, x)
-    ends = _induced_path_ends(g, x)
-    if ends is not None:
-        a, b = ends
-        interior = x - {a, b}
-        if all(g.degree(v) == 2 for v in interior):
-            for other in partition:
-                if other == x:
-                    continue
-                if (g.neighbors(a) & other) and (g.neighbors(b) & other):
-                    return ComponentCase(CONTRACT_ALL, x)
-            return ComponentCase(ALL_SINGLETONS, x)
-    return ComponentCase(SHATTER, x)
+    """Decide how a monochromatic component contributes witness bags (see
+    `_classify`); a set that does not induce a connected subgraph is shattered."""
+    idx = mask_index(g)
+    xm = idx.mask(x)
+    kind = (_classify(idx.adj, xm, [idx.mask(p) for p in partition])
+            if is_connected_mask(idx.adj, xm) else SHATTER)
+    return ComponentCase(kind, frozenset(x))
 
 
 # ---------------------------------------------------------------------------
 # refining a component partition into a witness structure
 
-def _shatter(g: Graph, x: frozenset[int], budget: int, memo: dict) -> Shatter | None:
-    """min_shatter(g, x, budget), remembered per component: the minimum does
-    not depend on the budget, and a miss stays a miss under a smaller one."""
+def _shatter(adj: tuple[int, ...], x: int, budget: int, memo: dict) -> int | None:
+    """shatter_core(adj, x, budget), remembered per component: the minimum
+    does not depend on the budget, and a miss stays a miss under a smaller one."""
     if x in memo:
-        asked, sh = memo[x]
-        if sh is not None:
-            return sh if sh.size() <= budget else None
+        asked, core = memo[x]
+        if core is not None:
+            return core if core.bit_count() <= budget else None
         if budget <= asked:
             return None
-    sh = min_shatter(g, x, budget)
-    memo[x] = (budget, sh)
-    return sh
+    core = shatter_core(adj, x, budget)
+    memo[x] = (budget, core)
+    return core
 
 
-def _refine_components(g: Graph, comps: tuple[frozenset[int], ...], budget: int,
-                       shatters: dict) -> tuple[WitnessStructure, int] | None:
-    """Minimum-cost witness structure obtainable from this component partition,
-    or None once its cost passes `budget`.
+def _refine(adj: tuple[int, ...], parts: tuple[int, ...], budget: int,
+            shatters: dict) -> tuple[list[int], int] | None:
+    """Bags (masks) and cost of the minimum-cost witness structure obtainable
+    from this component partition, or None once its cost passes `budget`.
 
     Contract-all components become one bag, all-singleton ones fall apart,
     and the rest split at a minimum shatter whose core may hold at most
-    budget + 1 - spent vertices.  Every component is classified in g itself:
-    contracting a contract-all component changes neither the induced
+    budget + 1 - spent vertices.  Every component is classified in the block
+    itself: contracting a contract-all component changes neither the induced
     subgraph, the boundary nor the degree-2 interior of any other component,
     nor which components touch its path ends.  `shatters` remembers minimum
     shatters across the calls of one scan.  Class membership is the caller's
     problem.
     """
-    parts = sorted(comps, key=min)
     spent = 0
-    bags: list[frozenset[int]] = []
+    bags: list[int] = []
     for x in parts:
-        case = classify_component(g, x, parts)
-        if case.kind == CONTRACT_ALL:
-            spent += len(x) - 1
+        kind = _classify(adj, x, parts)
+        if kind == CONTRACT_ALL:
+            spent += x.bit_count() - 1
             bags.append(x)
-        elif case.kind == SHATTER:
-            sh = _shatter(g, x, budget + 1 - spent, shatters)
-            if sh is None:
+        elif kind == SHATTER:
+            core = _shatter(adj, x, budget + 1 - spent, shatters)
+            if core is None:
                 return None
-            spent += sh.size() - 1
-            bags.append(sh.core)
-            bags.extend(frozenset({v}) for v in sorted(sh.singletons))
+            spent += core.bit_count() - 1
+            bags.append(core)
+            bags.extend(1 << i for i in bits(x & ~core))
         else:
-            bags.extend(frozenset({v}) for v in sorted(x))
+            bags.extend(1 << i for i in bits(x))
         if spent > budget:
             return None
-    return WitnessStructure.of(bags), spent
+    return bags, spent
 
 
-def refine_coloring(g: Graph, coloring: Coloring, k: int, ell: int,
+def _touching(adj: tuple[int, ...], masks) -> list[int]:
+    """For each mask, the positions of the other masks it has an edge to."""
+    nbr = [0] * len(masks)
+    for i, m in enumerate(masks):
+        out = reach(adj, m) & ~m
+        for j in range(i + 1, len(masks)):
+            if out & masks[j]:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    return nbr
+
+
+def _quotient_excess(adj: tuple[int, ...], bags: list[int]) -> int:
+    """Excess of the graph with every bag contracted: adjacent bag pairs
+    - (bags - 1)."""
+    return sum(n.bit_count() for n in _touching(adj, bags)) // 2 - len(bags) + 1
+
+
+def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int,
                     ) -> tuple[WitnessStructure, int] | None:
     """Witness structure extracted from one coloring, or None if it costs more
     than k or its quotient is not within excess ell of a tree."""
-    refined = _refine_components(g, tuple(monochromatic_components(g, coloring)), k, {})
-    if refined is None or not is_near_tree(quotient(g, refined[0]), ell):
+    idx, parts = _coloring_parts(g, coloring)
+    refined = _refine(idx.adj, parts, k, {})
+    if refined is None:
         return None
-    return refined
+    structure = WitnessStructure.of(map(idx.members, refined[0]))
+    return (structure, refined[1]) if is_near_tree(quotient(g, structure), ell) else None
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of coloring-distinct component partitions
 
-def _mask_refs(g: Graph) -> tuple[list[int], list[int]]:
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for u, v in g.edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    return verts, adj
-
-
-def _connected_mask(mask: int, adj: list[int]) -> bool:
-    span = mask & -mask
-    while True:
-        grow = span
-        m = span
-        while m:
-            b = m & -m
-            grow |= adj[b.bit_length() - 1] & mask
-            m ^= b
-        if grow == span:
-            break
-        span = grow
-    return span == mask
-
-
-def _connected_blocks_with_min(rest: int, adj: list[int]) -> list[int]:
+def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
     """All connected subsets of `rest` containing its lowest bit."""
     low = rest & -rest
     others = rest ^ low
@@ -305,7 +286,7 @@ def _connected_blocks_with_min(rest: int, adj: list[int]) -> list[int]:
     sub = others
     while True:
         cand = sub | low
-        if _connected_mask(cand, adj):
+        if is_connected_mask(adj, cand):
             out.append(cand)
         if sub == 0:
             break
@@ -313,17 +294,9 @@ def _connected_blocks_with_min(rest: int, adj: list[int]) -> list[int]:
     return sorted(out)
 
 
-def _mask_to_set(mask: int, verts: list[int]) -> frozenset[int]:
-    out = set()
-    while mask:
-        b = mask & -mask
-        out.add(verts[b.bit_length() - 1])
-        mask ^= b
-    return frozenset(out)
-
-
-def _connected_partitions(rest: int, adj: list[int]):
-    """Partitions of `rest` into connected blocks (as masks), lazily."""
+def _connected_partitions(rest: int, adj: tuple[int, ...]):
+    """Partitions of `rest` into connected blocks (as masks, by lowest
+    vertex), lazily."""
     if not rest:
         yield ()
         return
@@ -332,45 +305,18 @@ def _connected_partitions(rest: int, adj: list[int]):
             yield (block, *tail)
 
 
-def _mask_partitions(g: Graph):
-    """Every partition of V(g) into connected blocks (sorted by min id), with
-    a callable returning the chromatic number of its block-adjacency graph."""
-    verts, adj = _mask_refs(g)
-    for masks in _connected_partitions((1 << len(verts)) - 1, adj):
-        blocks = tuple(sorted((_mask_to_set(m, verts) for m in masks), key=min))
-        yield blocks, partial(_block_chromatic, masks, adj)
-
-
-def _block_chromatic(masks: tuple[int, ...], adj: list[int]) -> int:
+def _block_chromatic(masks: tuple[int, ...], adj: tuple[int, ...]) -> int:
     """Chromatic number of the block-adjacency graph (exact; tiny inputs)."""
     t = len(masks)
-    nbr = [0] * t
-    for i in range(t):
-        mi = masks[i]
-        reach = 0
-        m = mi
-        while m:
-            b = m & -m
-            reach |= adj[b.bit_length() - 1]
-            m ^= b
-        for j in range(i + 1, t):
-            if reach & masks[j]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-
-    order = sorted(range(t), key=lambda i: -bin(nbr[i]).count("1"))
+    nbr = _touching(adj, masks)
+    order = sorted(range(t), key=lambda i: -nbr[i].bit_count())
     colors = [0] * t
 
     def colorable(limit: int, pos: int) -> bool:
         if pos == t:
             return True
         i = order[pos]
-        used = set()
-        m = nbr[i]
-        while m:
-            b = m & -m
-            used.add(colors[b.bit_length() - 1])
-            m ^= b
+        used = {colors[j] for j in bits(nbr[i])}
         fresh_cap = max((colors[j] for j in order[:pos]), default=0) + 1
         for c in range(1, limit + 1):
             if c in used:
@@ -392,53 +338,48 @@ def _block_chromatic(masks: tuple[int, ...], adj: list[int]) -> int:
 # ---------------------------------------------------------------------------
 # one block: the witnesses a mode proposes, kept as a cost profile
 
-def _mode_partitions(b: Graph, k: int, ell: int, mode):
-    """Component partitions of block b in the order the mode proposes them,
-    each with a callable returning how many colors realize it (exhaustive
-    mode), or None when a coloring within the palette produced it.  Family
-    functions color b's vertices by rank, so the family's domain bounds the
-    block size, not the vertex ids."""
+def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode):
+    """Component partitions (masks) of the block in the order the mode
+    proposes them, each with a callable returning how many colors realize it
+    (exhaustive mode), or None when a coloring within the palette produced
+    it.  Family functions color the block's vertices by rank, so the
+    family's domain bounds the block size, not the vertex ids."""
+    n = len(adj)
     if isinstance(mode, ExhaustiveColorings):
-        if b.n > EXHAUSTIVE_VERTEX_CAP:
+        if n > EXHAUSTIVE_VERTEX_CAP:
             raise SizeCapError(
-                f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {b.n})")
-        yield from _mask_partitions(b)
+                f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {n})")
+        for masks in _connected_partitions((1 << n) - 1, adj):
+            yield masks, partial(_block_chromatic, masks, adj)
         return
-    q = palette_size(ell)
-    verts = sorted(b.vertices)
     if isinstance(mode, RandomColorings):
+        q = palette_size(ell)
         rng = random.Random(mode.seed)
-        iters = mode.iterations if mode.iterations is not None else default_iterations(b, k, ell)
-        colorings = ({v: rng.randint(1, q) for v in verts} for _ in range(iters))
+        iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
+        colorings = ([rng.randint(1, q) for _ in range(n)] for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
-        if b.n > mode.domain:
+        if n > mode.domain:
             raise InputError(
-                f"family domain {mode.domain} is smaller than a block of {b.n} vertices")
-        # a family built for a larger excess allowance may color past this
-        # palette; extra colors only split components further, which is
-        # sound (re-verified) and keeps the realized-assignment argument
-        q = max(q, max((max(f) for f in mode.distinct), default=q))
-        colorings = _distinct_restrictions(mode.distinct, verts)
+                f"family domain {mode.domain} is smaller than a block of {n} vertices")
+        # extra colors past this palette only split components further,
+        # which is sound (re-verified)
+        colorings = (f[:n] for f in mode.functions)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    seen: set[tuple[frozenset[int], ...]] = set()
-    for colors in colorings:
-        comps = tuple(monochromatic_components(b, Coloring.of(colors, q)))
-        if comps not in seen:
-            seen.add(comps)
-            yield comps, None
-
-
-def _distinct_restrictions(functions, verts: list[int]):
-    """Each function's prefix as a coloring of verts by rank, one per induced
-    partition."""
+    # the refinement outcome depends on a coloring only through its color
+    # classes (its signature: the first position of each color), and then
+    # only through its components; the first coloring of each is kept
     tried: set[tuple[int, ...]] = set()
-    for f in functions:
-        seq = f[:len(verts)]
-        signature = tuple(map(seq.index, seq))
-        if signature not in tried:
-            tried.add(signature)
-            yield dict(zip(verts, seq))
+    seen: set[tuple[int, ...]] = set()
+    for colors in colorings:
+        signature = tuple(map(colors.index, colors))
+        if signature in tried:
+            continue
+        tried.add(signature)
+        parts = _components(adj, _classes(colors))
+        if parts not in seen:
+            seen.add(parts)
+            yield parts, None
 
 
 def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool,
@@ -450,7 +391,9 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
     contractions bringing them to total excess <= j), so a partition is only
     refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
     fits no solution or improves no entry.  With `first_hit` the scan stops
-    at the first witness that completes a feasible knapsack.
+    at the first witness that completes a feasible knapsack.  The scan runs
+    on b's mask index; a structure is built only for a witness that
+    improves an entry.
     """
     best: list[tuple[int, WitnessStructure] | None] = [None] * (ell + 1)
 
@@ -472,18 +415,19 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
             or prev[ell] >= k):
         return best
 
+    idx = mask_index(b)
     shatters: dict = {}
-    for comps, colors_needed in _mode_partitions(b, k, ell, mode):
-        refined = _refine_components(b, comps, min(k - prev[ell], best[0][0] - 1), shatters)
+    for parts, colors_needed in _mode_partitions(idx.adj, k, ell, mode):
+        refined = _refine(idx.adj, parts, min(k - prev[ell], best[0][0] - 1), shatters)
         if refined is None:
             continue
-        structure, cost = refined
-        x = excess(quotient(b, structure))
+        bags, cost = refined
+        x = _quotient_excess(idx.adj, bags)
         if colors_needed is not None and improves(cost, x):
             # the partition counts at allowance e only if q(e) colors realize it
             chi = colors_needed()
             x = max(x, next(e for e in itertools.count() if palette_size(e) >= chi))
-        if improves(cost, x) and offer(cost, x, structure):
+        if improves(cost, x) and offer(cost, x, WitnessStructure.of(map(idx.members, bags))):
             break
     return best
 

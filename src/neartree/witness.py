@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError
-from .graph import Edge, Graph, edge, is_near_tree
+from .graph import Edge, Graph, edge, is_near_tree, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,8 @@ def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:
     """A minimum edge set whose contraction realizes the witness: a spanning
     forest of each bag, chosen deterministically from sorted edges."""
     bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
-    parent = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    out: set[Edge] = set()
-    for e in sorted(g.edges):
-        if bag_of[e[0]] != bag_of[e[1]]:
-            continue
-        ru, rv = find(e[0]), find(e[1])
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            out.add(e)
-    return frozenset(out)
+    inside = (e for e in sorted(g.edges) if bag_of[e[0]] == bag_of[e[1]])
+    return frozenset(spanning_forest(g.vertices, inside)[0])
 
 
 def _leaf_bags(g: Graph, w: WitnessStructure) -> list[frozenset[int]]:

@@ -24,6 +24,20 @@ def brute_cvc(g: Graph, budget: int) -> frozenset | None:
     return None
 
 
+def brute_shatter_core(g: Graph, x: frozenset) -> frozenset:
+    """Reference: the smallest connected cover of G[x] holding every vertex of
+    x with a neighbor outside x, subsets by size then lexicographic order."""
+    inner = g.subgraph(x)
+    outer = {v for v in x if g.neighbors(v) - x}
+    for size in range(1, len(x) + 1):
+        for cand in combinations(sorted(x), size):
+            cs = frozenset(cand)
+            if (outer <= cs and all(u in cs or v in cs for u, v in inner.edges)
+                    and g.subgraph(cs).is_connected()):
+                return cs
+    raise AssertionError("x itself is such a cover")
+
+
 def random_connected(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
     while True:
@@ -101,6 +115,18 @@ class TestShatter:
                     assert g.subgraph(sh.core).is_connected() or len(sh.core) == 1
                     assert all(u in sh.core or v in sh.core for u, v in inner.edges)
                     assert boundary(g, subset) <= sh.core
+
+    def test_matches_brute_on_all_small_graphs(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                for size in range(1, n + 1):
+                    for sub in combinations(sorted(g.vertices), size):
+                        x = frozenset(sub)
+                        if not g.subgraph(x).is_connected():
+                            continue
+                        want = brute_shatter_core(g, x)
+                        sh = min_shatter(g, x, budget=len(x))
+                        assert (sh.core, sh.singletons) == (want, x - want), (sorted(g.edges), sub)
 
     def test_budget_respected(self):
         g = cycle_graph([1, 2, 3, 4, 5])

@@ -294,6 +294,23 @@ class TestCli:
         assert code == 2
         assert "outside the reduced graph's 1..17" in capsys.readouterr().err
 
+    def test_kernel_above_the_size_bound_stays_undecided(self, tmp_path, capsys):
+        # a complete binary tree on 600 vertices plus the edge 2-3 is a yes at
+        # k = 1, but no rule removes its leaves, so the kernel keeps 600 > 244
+        # = size_bound(1, 0, 2) vertices: that must not read as a no
+        tree = [(i, c) for i in range(1, 301) for c in (2 * i, 2 * i + 1) if c <= 600]
+        src, red, tr, sol = (tmp_path / f for f in ("g.graph", "red.graph", "tr.txt", "sol.txt"))
+        src.write_text(serialize_graph(Graph.build(range(1, 601), tree + [(2, 3)])))
+        assert main(["--mode", "kernel", "--k", "1", "--ell", "0", "--in", str(src),
+                     "--out", str(red), "--trace", str(tr)]) == 0
+        line = capsys.readouterr().out
+        assert "resolved=none" in line and "reduced_n=600" in line
+        assert main(["--mode", "exhaustive", "--k", "1", "--ell", "0", "--in", str(red)]) == 0
+        listing = capsys.readouterr().out.split("edges=")[1].split()[0]
+        sol.write_text(serialize_edge_set(tuple(map(int, p.split("-"))) for p in listing.split(",")))
+        assert main(["--mode", "lift", "--in", str(src), "--trace", str(tr), "--sol", str(sol)]) == 0
+        assert "result decision=yes cost=1 mode=lift" in capsys.readouterr().out
+
     def test_kernel_writes_reduced_instance_and_trace(self, tmp_path, capsys):
         left = [1, 2]
         right = list(range(3, 13))

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from helpers import connected_graphs, glue_blocks
@@ -10,6 +13,7 @@ from neartree.graph import (
     biconnected_blocks,
     complete_graph,
     cycle_graph,
+    mask_index,
     path_graph,
     star_graph,
 )
@@ -17,10 +21,11 @@ from neartree.solver import (
     ALL_SINGLETONS,
     CONTRACT_ALL,
     SHATTER,
-    Coloring,
     ExhaustiveColorings,
     FamilyColorings,
     RandomColorings,
+    _block_chromatic,
+    _connected_partitions,
     classify_component,
     monochromatic_components,
     refine_coloring,
@@ -45,21 +50,21 @@ C6_CHORD = Graph.build(range(1, 7), list(cycle_graph(range(1, 7)).edges) + [(1, 
 class TestComponents:
     def test_single_color(self):
         p3 = path_graph([1, 2, 3])
-        comps = monochromatic_components(p3, Coloring.of({1: 1, 2: 1, 3: 1}, 2))
+        comps = monochromatic_components(p3, {1: 1, 2: 1, 3: 1})
         assert comps == [frozenset({1, 2, 3})]
 
     def test_alternating(self):
         p3 = path_graph([1, 2, 3])
-        comps = monochromatic_components(p3, Coloring.of({1: 1, 2: 2, 3: 1}, 2))
+        comps = monochromatic_components(p3, {1: 1, 2: 2, 3: 1})
         assert len(comps) == 3
 
     def test_c4_halves(self):
-        comps = monochromatic_components(C4, Coloring.of({1: 1, 2: 1, 3: 2, 4: 2}, 2))
+        comps = monochromatic_components(C4, {1: 1, 2: 1, 3: 2, 4: 2})
         assert set(comps) == {frozenset({1, 2}), frozenset({3, 4})}
 
     def test_partial_coloring_rejected(self):
         with pytest.raises(InputError):
-            monochromatic_components(C4, Coloring.of({1: 1, 2: 1}, 2))
+            monochromatic_components(C4, {1: 1, 2: 1})
 
 
 class TestClassification:
@@ -92,22 +97,55 @@ class TestClassification:
 
 class TestRefine:
     def test_c4_free_pass(self):
-        res = refine_coloring(C4, Coloring.of({1: 1, 2: 2, 3: 1, 4: 2}, 4), k=0, ell=1)
+        res = refine_coloring(C4, {1: 1, 2: 2, 3: 1, 4: 2}, k=0, ell=1)
         assert res is not None
         structure, cost = res
         assert cost == 0 and all(len(b) == 1 for b in structure.bags)
 
     def test_c4_three_one_split(self):
-        res = refine_coloring(C4, Coloring.of({1: 1, 2: 1, 3: 1, 4: 2}, 2), k=2, ell=0)
+        res = refine_coloring(C4, {1: 1, 2: 1, 3: 1, 4: 2}, k=2, ell=0)
         assert res is not None
         structure, cost = res
         assert cost == 2
         assert set(structure.bags) == {frozenset({1, 2, 3}), frozenset({4})}
         assert verify_witness(C4, structure, 0, 2).valid
 
+    def test_contract_all_components_count_against_the_budget(self):
+        # both C5 arcs contract whole (3 contractions); the quotient is a tree
+        assert refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=3, ell=0)[1] == 3
+        assert refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=2, ell=0) is None
+
     def test_c4_rainbow_fails_for_tree_target(self):
-        res = refine_coloring(C4, Coloring.of({1: 1, 2: 2, 3: 3, 4: 4}, 4), k=2, ell=0)
+        res = refine_coloring(C4, {1: 1, 2: 2, 3: 3, 4: 4}, k=2, ell=0)
         assert res is None
+
+
+class TestPartitionEnumeration:
+    """Exhaustive mode scans the connected partitions whose block-adjacency
+    graph is q-colorable: exactly the component partitions of all q^n
+    colorings."""
+
+    @staticmethod
+    def by_colorings(g: Graph, q: int) -> set:
+        verts = sorted(g.vertices)
+        out = set()
+        for colors in itertools.product(range(q), repeat=g.n):
+            classes = [[v for v, c in zip(verts, colors) if c == color] for color in range(q)]
+            out.add(frozenset(comp for cls in classes for comp in g.subgraph(cls).components()))
+        return out
+
+    @staticmethod
+    def by_masks(g: Graph, q: int) -> set:
+        idx = mask_index(g)
+        return {frozenset(map(idx.members, masks))
+                for masks in _connected_partitions((1 << g.n) - 1, idx.adj)
+                if _block_chromatic(masks, idx.adj) <= q}
+
+    def test_matches_all_colorings(self):
+        sample = random.Random(3).sample(connected_graphs(6), 12)
+        for g in [g for n in range(1, 6) for g in connected_graphs(n)] + sample:
+            for q in (2, 3, 4):
+                assert self.by_masks(g, q) == self.by_colorings(g, q), (sorted(g.edges), q)
 
 
 class TestSolve2Connected:
