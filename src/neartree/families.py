@@ -18,7 +18,7 @@ from math import comb, isqrt, log
 
 import numpy as np
 
-from .errors import InputError, SizeCapError
+from .errors import InputError, InternalError, SizeCapError
 
 SPLITTER = "splitter"
 UNIVERSAL = "universal"
@@ -105,18 +105,15 @@ def _greedy_size_bound(n: int, k: int, q: int) -> int:
 
 def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFamily:
     """(n, k, q)-universal family by greedy set cover over the constraints
-    {(S, phi) : |S| = k, phi : S -> [q]}.
-
-    The uncovered constraints are one boolean table, a row per k-subset and
-    a column per assignment code.  Each round draws a candidate pool from a
-    `random.Random` seeded by (n, k, q, seed), one block of bytes per part
-    read as a numpy array: uniformly random functions plus functions
-    constant on the blocks of a random balanced partition.
-    It keeps the candidate covering the most uncovered constraints; a round
-    that covers nothing falls back to a bespoke function built from one
-    uncovered constraint, so termination is unconditional.  The same seed
-    gives the same family.  When k = n the constraints are in bijection with
-    the functions and the full table is returned directly.
+    {(S, phi) : |S| = k, phi : S -> [q]}, one boolean array by cell id: a
+    k-subset's row times q^k plus the assignment's code.  Each round scores
+    a pool (`_candidate_pool`, seeded by (n, k, q, seed)) once and picks its
+    best while that covers as many uncovered constraints as the round's
+    first pick; a pick takes from every candidate one count per newly
+    covered constraint it realizes too, so the counts stay exact.  A pool
+    covering nothing gives way to a bespoke function, so termination is
+    unconditional; the result must pass `verify_family`.  The same seed
+    gives the same family.  When k = n the full table is returned directly.
     """
     if n < 1 or q < 1 or k < 0 or k > n:
         raise InputError("universal family needs 0 <= k <= n and q >= 1")
@@ -132,58 +129,72 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
         return FunctionFamily(n, q, UNIVERSAL, k, full, meta=meta + "-full")
 
     subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    rows = np.arange(len(subsets))
-    uncovered = np.ones((len(subsets), q ** k), dtype=bool)
-    remaining = total
+    offsets = np.arange(0, total, q ** k, dtype=np.int32)
+    uncovered = np.ones(total, dtype=bool)
     rng = random.Random(f"greedy/{n}/{k}/{q}/{seed}")
     chosen: list[tuple[int, ...]] = []
 
-    # a pool is scored in slices of subsets, so its code table stays near SCORE_CELLS
+    # a pool's cell table is kept whole if it fits SCORE_CELLS, else sliced by subsets
     chunk = max(1, SCORE_CELLS // (POOL_RANDOM + POOL_BLOCK))
-    parts = [slice(i, i + chunk) for i in range(0, len(subsets), chunk)]
 
-    def codes(digits: np.ndarray, part: slice) -> np.ndarray:
-        """(subsets in part, functions) codes: function j's colors minus 1 are
-        column j of digits, read in base q over the subset, first position highest."""
-        sub = subsets[part]
+    def cells(digits: np.ndarray, rows) -> np.ndarray:
+        """(rows, functions) cell ids: function j's colors minus 1 are column
+        j of digits, read in base q over the subset, first position highest."""
+        sub = subsets[rows]
         out = digits[sub[:, 0]]
         for col in sub.T[1:]:
             out *= q
             out += digits[col]
+        out += offsets[rows, None]
         return out
 
-    while remaining > 0:
-        pool = _candidate_pool(n, q, rng)
-        counts = sum(uncovered[rows[part, None], codes(pool, part)].sum(0) for part in parts)
-        best = int(counts.argmax())
-        func = pool[:, best] if counts[best] else _bespoke_repair(n, q, subsets, uncovered)
-        hit = codes(func[:, None], slice(None))[:, 0]
-        remaining -= int(uncovered[rows, hit].sum())
-        uncovered[rows, hit] = False
-        chosen.append(tuple((func + 1).tolist()))
+    def pool_cells(rows) -> np.ndarray:
+        """cells(pool, rows) for the current pool, read off its table when kept."""
+        return cells(pool, rows) if table is None else table[rows]
 
-    return FunctionFamily(n, q, UNIVERSAL, k, tuple(chosen), meta=meta)
+    while uncovered.any():
+        pool = _candidate_pool(n, q, rng)
+        table = cells(pool, slice(None)) if len(subsets) <= chunk else None
+        counts = sum(uncovered[pool_cells(slice(i, i + chunk))].sum(0)
+                     for i in range(0, len(subsets), chunk))
+        if not counts.any():
+            pool, table, counts = _bespoke_repair(n, q, subsets, uncovered), None, np.ones(1, int)
+        first = counts.max()
+        # a candidate loses one count per newly covered row where its code is the pick's
+        while counts[best := counts.argmax()] == first:
+            hit = cells(pool[:, [best]], slice(None))[:, 0] if table is None else table[:, best]
+            new = uncovered[hit].nonzero()[0]
+            uncovered[hit] = False
+            chosen.append(tuple((pool[:, best] + 1).tolist()))
+            for i in range(0, len(new), chunk):
+                rows = new[i:i + chunk]
+                counts -= (pool_cells(rows) == hit[rows, None]).sum(0)
+
+    fam = FunctionFamily(n, q, UNIVERSAL, k, tuple(chosen), meta=meta)
+    if not verify_family(fam):  # a miss over this family is printed as a certified no
+        raise InternalError(f"greedy({n},{k},{q}) built a family that is not universal")
+    return fam
 
 
 def _candidate_pool(n: int, q: int, rng: random.Random) -> np.ndarray:
-    """Candidate functions as columns of colors minus 1, shape (n, pool).
-    Each entry is a random 32-bit word mod its range (bias below range /
-    2^32), drawn from the stdlib generator: numpy.random, and the import it
-    costs on first use, stay out of the derand path."""
-    def draw(high: int, rows: int, cols: int) -> np.ndarray:
-        words = np.frombuffer(rng.randbytes(4 * rows * cols), dtype="<u4")
-        return (words % high).astype(np.int32).reshape(rows, cols)
-
+    """Candidate functions as columns of colors minus 1, shape (n, pool):
+    POOL_RANDOM uniform ones, then POOL_BLOCK constant on the blocks of a
+    random partition.  Each entry is a random 16-bit word mod its range (bias
+    below range / 2^16), one block of bytes per pool from the stdlib
+    generator: numpy.random, and its import, stay out of the derand path."""
     blocks = max(2, min(n, 2 * q))
-    uniform, labels = draw(q, n, POOL_RANDOM), draw(blocks, n, POOL_BLOCK)
-    return np.hstack([uniform, np.take_along_axis(draw(q, blocks, POOL_BLOCK), labels, axis=0)])
+    cut = n * POOL_RANDOM, n * (POOL_RANDOM + POOL_BLOCK)
+    words = np.frombuffer(rng.randbytes(2 * (cut[1] + blocks * POOL_BLOCK)), dtype="<u2")
+    uniform = (words[:cut[0]] % q).reshape(n, POOL_RANDOM)
+    labels = (words[cut[0]:cut[1]] % blocks).reshape(n, POOL_BLOCK)
+    colors = (words[cut[1]:] % q).reshape(blocks, POOL_BLOCK)
+    return np.hstack([uniform, np.take_along_axis(colors, labels, axis=0)]).astype(np.int32)
 
 
 def _bespoke_repair(n: int, q: int, subsets: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
-    """One function (colors minus 1) realizing the first uncovered constraint exactly."""
-    si = int(uncovered.any(1).argmax())
-    code = int(uncovered[si].argmax())
-    f = np.zeros(n, dtype=np.int32)
+    """A column of colors minus 1 realizing the first uncovered constraint exactly."""
+    si, code = divmod(int(uncovered.argmax()), q ** subsets.shape[1])
+    f = np.zeros((n, 1), dtype=np.int32)
     for pos in reversed(subsets[si].tolist()):
         f[pos] = code % q
         code //= q
@@ -263,7 +274,7 @@ def verify_family(fam: FunctionFamily) -> bool:
         want = q ** k
         for s in combinations(range(n), k):
             codes = table[:, list(s)] @ weights
-            if len(np.unique(codes)) != want:
+            if not np.bincount(codes, minlength=want).all():
                 return False
         return True
 

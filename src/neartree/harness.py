@@ -9,11 +9,11 @@ logs that replay against the original instance: "instance k <k> ell <ell>",
 longpath u1 v1 u2 v2 ..." (the edges of every long run, contracted at once),
 "step twin <v> <neighbors>" or "step commonnbr <d> u1 v1 u2 v2 ...".
 
-Exit codes: 0 decided yes, 1 decided no (in rand mode, and in derand mode
-with a family file not verified universal: no witness found, printed as
-decision=not-found, which certifies nothing), 2 error.  Every
-solver answer is re-verified through the witness checker before it is
-printed.
+Exit codes: 0 decided yes (kernel mode: not decided no; resolved=none prints
+decision=not-found), 1 decided no (in rand mode, and in derand mode with a
+family file not verified universal: no witness found, printed as
+decision=not-found, which certifies nothing), 2 error.  Every solver answer
+is re-verified through the witness checker before it is printed.
 """
 
 from __future__ import annotations
@@ -431,8 +431,8 @@ def run(cfg: RunConfig) -> int:
         _write(cfg.out, serialize_graph(reduced.graph))
         _write(cfg.trace, serialize_trace(original, reduced, trace))
         decided_no = trace.resolved == "no"
-        print(_result_line(not decided_no, reduced.k if not decided_no else cfg.k + 1,
-                           cfg.mode, cfg.seed)
+        decision = None if trace.resolved is None else not decided_no
+        print(_result_line(decision, cfg.k + 1 if decided_no else reduced.k, cfg.mode, cfg.seed)
               + f" reduced_n={reduced.graph.n} reduced_k={reduced.k} resolved={trace.resolved or 'none'}")
         return 1 if decided_no else 0
 

@@ -294,14 +294,17 @@ def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def _connected_partitions(rest: int, adj: tuple[int, ...]):
+def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None = None):
     """Partitions of `rest` into connected blocks (as masks, by lowest
-    vertex), lazily."""
+    vertex), lazily; `blocks` keeps each remaining mask's blocks for the scan."""
     if not rest:
         yield ()
         return
-    for block in _connected_blocks_with_min(rest, adj):
-        for tail in _connected_partitions(rest ^ block, adj):
+    blocks = {} if blocks is None else blocks
+    if rest not in blocks:
+        blocks[rest] = _connected_blocks_with_min(rest, adj)
+    for block in blocks[rest]:
+        for tail in _connected_partitions(rest ^ block, adj, blocks):
             yield (block, *tail)
 
 

@@ -3,9 +3,12 @@ from math import comb
 
 import pytest
 
-from neartree.errors import InputError, SizeCapError
+from neartree import families
+from neartree.errors import InputError, InternalError, SizeCapError
 from neartree.families import (
     PERFECT_HASH,
+    POOL_BLOCK,
+    POOL_RANDOM,
     SPLITTER,
     UNIVERSAL,
     FunctionFamily,
@@ -95,6 +98,27 @@ class TestGreedyUniversal:
             assert verify_family(fam)
             assert len(fam) <= 2 * _greedy_size_bound(n, k, q), (n, k, q, len(fam))
 
+
+    def test_size_stays_near_the_per_round_greedy(self):
+        # caps: 10 % above the sizes of a build that drew a fresh pool per pick
+        caps = {(7, 6, 2): 104, (8, 6, 2): 126, (10, 6, 2): 181, (7, 6, 4): 6220,
+                (12, 3, 4): 218, (8, 4, 3): 207}
+        for (n, k, q), cap in caps.items():
+            fam = build_universal_greedy(n, k, q)
+            assert verify_family(fam), (n, k, q)
+            assert len(fam) <= cap, (n, k, q, len(fam))
+
+    def test_sliced_scoring_gives_the_same_family(self, monkeypatch):
+        # a pool too large for SCORE_CELLS is scored and updated in slices
+        # of subsets; the counts, hence the picks, are the same
+        whole = [build_universal_greedy(*c) for c in [(8, 4, 3), (9, 6, 2)]]
+        monkeypatch.setattr(families, "SCORE_CELLS", 3 * (POOL_RANDOM + POOL_BLOCK))
+        assert [build_universal_greedy(*c) for c in [(8, 4, 3), (9, 6, 2)]] == whole
+
+    def test_a_family_failing_verification_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(families, "verify_family", lambda fam: False)
+        with pytest.raises(InternalError):
+            build_universal_greedy(7, 6, 2)
 
     def test_same_seed_same_family(self):
         for (n, k, q) in [(7, 6, 2), (8, 6, 2), (12, 3, 4)]:

@@ -305,6 +305,7 @@ class TestCli:
                      "--out", str(red), "--trace", str(tr)]) == 0
         line = capsys.readouterr().out
         assert "resolved=none" in line and "reduced_n=600" in line
+        assert line.startswith("result decision=not-found cost=1 mode=kernel")
         assert main(["--mode", "exhaustive", "--k", "1", "--ell", "0", "--in", str(red)]) == 0
         listing = capsys.readouterr().out.split("edges=")[1].split()[0]
         sol.write_text(serialize_edge_set(tuple(map(int, p.split("-"))) for p in listing.split(",")))
@@ -449,6 +450,32 @@ class TestCli:
                         if want:
                             assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
         assert routes == {True, False}
+
+    def test_rand_matches_the_oracle_on_random_graphs(self, tmp_path, capsys):
+        # the graphs of the derand oracle test: a yes must verify and agree
+        # with the oracle, a miss certifies nothing and must never read as a no
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        found = set()
+        for n in range(4, 9):
+            for seed in range(6):
+                g = gen_random_instance(n, 0.45, 0, 0, seed=100 * n + seed).graph
+                src.write_text(serialize_graph(g))
+                for k in (1, 2):
+                    for ell in (0, 1):
+                        want = exact_decide(Instance(g, k, ell))
+                        code = main(["--mode", "rand", "--k", str(k), "--ell", str(ell),
+                                     "--in", str(src), "--out", str(out),
+                                     "--seed", str(seed), "--iters", "30"])
+                        printed = capsys.readouterr().out
+                        case = (sorted(g.edges), k, ell)
+                        assert "decision=no " not in printed, case
+                        if code == 0:
+                            assert want and "decision=yes" in printed, case
+                            assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
+                        else:
+                            assert code == 1 and "decision=not-found" in printed, case
+                        found.add((want, code))
+        assert found == {(True, 0), (True, 1), (False, 1)}  # some yes instances are missed
 
     def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys):
         # C14 with chord 1-8: one 14-vertex block, more than the exhaustive
