@@ -16,7 +16,7 @@ from itertools import combinations
 from math import ceil, comb
 
 from .errors import InputError
-from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, is_near_tree
+from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, excess
 
 MAX_LOSSY_DEGREE = 16  # cap on d = ceil(alpha / (alpha - 1)); rejects alpha too close to 1
 
@@ -181,11 +181,9 @@ def size_bound(k: int, ell: int, d: int) -> int:
 
 def _preliminary(instance: Instance) -> str | None:
     g, k, ell = instance.graph, instance.k, instance.ell
-    if k < 0:
+    if k < 0 or not g.is_connected():
         return "no"
-    if not g.is_connected():
-        return "no"
-    if is_near_tree(g, ell):
+    if excess(g) <= ell:
         return "yes"
     if k == 0:
         return "no"

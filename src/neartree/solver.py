@@ -21,10 +21,10 @@ at least 3 vertices, the case the coloring argument covers.
 
 All three modes scan a block on one bit-mask index built once per block
 (`graph.MaskIndex`): colorings become color-class masks split into
-components by one mask flood, classification counts bits, the shatter is
-`cvc.shatter_core` on the same masks, and the quotient's excess comes from
-bag reach masks; a witness structure is built only for a witness that
-improves the block's profile.  The set-based public functions
+components by one mask flood, the shatter is `cvc.shatter_core` on the same
+masks, and the quotient's excess comes from bag reach masks.  A part's shape
+(a path, or shattered) is worked out once per scan; only whether a path
+contracts depends on the other parts.  The set-based public functions
 (`monochromatic_components`, `classify_component`, `refine_coloring`) are
 thin adapters over that core.
 
@@ -34,15 +34,18 @@ the refinement outcome depends on a coloring only through its monochromatic
 components, so it suffices to enumerate partitions of the vertex set into
 connected blocks whose block-adjacency graph is properly colorable with the
 palette at hand; those are exactly the component partitions of all q^n
-colorings, and there are far fewer of them.
+colorings, and there are far fewer of them.  The enumeration drops a prefix
+of parts once their cost floors pass the budget: 0 for a path (it may fall
+apart), else the shatter's exact cost.  Cost only grows along a partition
+and the budget only falls, so no dropped partition would have been refined.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cache, partial
 
 from .cvc import shatter_core
 from .errors import InputError, InternalError, SizeCapError
@@ -100,6 +103,13 @@ class FamilyColorings:
 
     functions: tuple[tuple[int, ...], ...]
     domain: int  # functions map [domain] -> colors; blocks may have <= domain vertices
+    by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def distinct(self, n: int) -> list[tuple[int, ...]]:
+        """The first function of each color-class signature on [n], in order."""
+        if n not in self.by_size:
+            self.by_size[n] = list(_first_per_signature(f[:n] for f in self.functions))
+        return self.by_size[n]
 
 
 def default_iterations(n: int, k: int, ell: int) -> int:
@@ -158,38 +168,43 @@ class ComponentCase:
     component: frozenset[int]
 
 
-def _classify(adj: tuple[int, ...], x: int, parts) -> str:
-    """Kind of a connected component x of the partition `parts` (masks).
-
-    Contract whole: G[x] is an induced path (no vertex of degree above two,
-    exactly two ends) whose interior vertices have no neighbor outside x, and
-    some single other part is adjacent to both path ends.  All singletons:
-    same path shape but no such part.  Everything else: shatter.  Size-1
-    components are trivially singletons.
-    """
+def _shape(adj: tuple[int, ...], x: int) -> tuple[int, int] | None:
+    """What classifying a connected part x needs of x alone: None when x
+    shatters, else the outside neighbors of its path ends.  x is a path
+    when G[x] is an induced path (no vertex of degree above two, exactly two
+    ends) whose interior has no neighbor outside x; a single vertex is a
+    path without ends, (0, 0)."""
     if x & (x - 1) == 0:
-        return ALL_SINGLETONS
+        return 0, 0
     ends = []
     for i in bits(x):
         inner = (adj[i] & x).bit_count()
         if inner > 2:
-            return SHATTER
+            return None
         if inner == 1:
             ends.append(i)
     if len(ends) != 2 or reach(adj, x & ~(1 << ends[0]) & ~(1 << ends[1])) & ~x:
-        return SHATTER
-    near_a, near_b = adj[ends[0]] & ~x, adj[ends[1]] & ~x
-    return CONTRACT_ALL if any(p & near_a and p & near_b for p in parts) else ALL_SINGLETONS
+        return None
+    return adj[ends[0]] & ~x, adj[ends[1]] & ~x
+
+
+def _contracts(shape: tuple[int, int], parts) -> bool:
+    """What it needs of the partition: a path contracts whole when some
+    single other part is adjacent to both its ends, else it falls apart."""
+    near_a, near_b = shape
+    return bool(near_a and near_b) and any(p & near_a and p & near_b for p in parts)
 
 
 def classify_component(g: Graph, x: frozenset[int],
                        partition: list[frozenset[int]]) -> ComponentCase:
     """Decide how a monochromatic component contributes witness bags (see
-    `_classify`); a set that does not induce a connected subgraph is shattered."""
+    `_shape` and `_contracts`); a set that does not induce a connected
+    subgraph is shattered."""
     idx = mask_index(g)
     xm = idx.mask(x)
-    kind = (_classify(idx.adj, xm, [idx.mask(p) for p in partition])
-            if is_connected_mask(idx.adj, xm) else SHATTER)
+    shape = _shape(idx.adj, xm) if is_connected_mask(idx.adj, xm) else None
+    kind = (SHATTER if shape is None else CONTRACT_ALL
+            if _contracts(shape, [idx.mask(p) for p in partition]) else ALL_SINGLETONS)
     return ComponentCase(kind, frozenset(x))
 
 
@@ -210,8 +225,18 @@ def _shatter(adj: tuple[int, ...], x: int, budget: int, memo: dict) -> int | Non
     return core
 
 
+def _charge(adj: tuple[int, ...], shape, shatters: dict, budget, x: int, spent: int) -> int | None:
+    """`spent` plus the least part x adds to any partition's cost, or None
+    past budget(): 0 for a path (it may fall apart), else exactly its
+    shatter core - 1."""
+    if shape(x) is not None:
+        return spent if spent <= budget() else None
+    core = _shatter(adj, x, budget() + 1 - spent, shatters)
+    return None if core is None else spent + core.bit_count() - 1
+
+
 def _refine(adj: tuple[int, ...], parts: tuple[int, ...], budget: int,
-            shatters: dict) -> tuple[list[int], int] | None:
+            shape, shatters: dict) -> tuple[list[int], int] | None:
     """Bags (masks) and cost of the minimum-cost witness structure obtainable
     from this component partition, or None once its cost passes `budget`.
 
@@ -220,24 +245,24 @@ def _refine(adj: tuple[int, ...], parts: tuple[int, ...], budget: int,
     budget + 1 - spent vertices.  Every component is classified in the block
     itself: contracting a contract-all component changes neither the induced
     subgraph, the boundary nor the degree-2 interior of any other component,
-    nor which components touch its path ends.  `shatters` remembers minimum
-    shatters across the calls of one scan.  Class membership is the caller's
-    problem.
+    nor which components touch its path ends.  `shape` (`_shape` of a part)
+    and `shatters` may remember each part across the calls of one scan.
+    Class membership is the caller's problem.
     """
     spent = 0
     bags: list[int] = []
     for x in parts:
-        kind = _classify(adj, x, parts)
-        if kind == CONTRACT_ALL:
-            spent += x.bit_count() - 1
-            bags.append(x)
-        elif kind == SHATTER:
+        path = shape(x)
+        if path is None:
             core = _shatter(adj, x, budget + 1 - spent, shatters)
             if core is None:
                 return None
             spent += core.bit_count() - 1
             bags.append(core)
             bags.extend(1 << i for i in bits(x & ~core))
+        elif _contracts(path, parts):
+            spent += x.bit_count() - 1
+            bags.append(x)
         else:
             bags.extend(1 << i for i in bits(x))
         if spent > budget:
@@ -268,7 +293,7 @@ def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int,
     """Witness structure extracted from one coloring, or None if it costs more
     than k or its quotient is not within excess ell of a tree."""
     idx, parts = _coloring_parts(g, coloring)
-    refined = _refine(idx.adj, parts, k, {})
+    refined = _refine(idx.adj, parts, k, partial(_shape, idx.adj), {})
     if refined is None:
         return None
     structure = WitnessStructure.of(map(idx.members, refined[0]))
@@ -294,9 +319,12 @@ def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None = None):
+def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None = None,
+                          charge=None, spent: int = 0):
     """Partitions of `rest` into connected blocks (as masks, by lowest
-    vertex), lazily; `blocks` keeps each remaining mask's blocks for the scan."""
+    vertex), lazily; `blocks` keeps each remaining mask's blocks for the
+    scan.  charge(block, spent) gives the cost floor of a prefix from its
+    last block and the floor before it, or None to cut the prefix."""
     if not rest:
         yield ()
         return
@@ -304,8 +332,10 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
     if rest not in blocks:
         blocks[rest] = _connected_blocks_with_min(rest, adj)
     for block in blocks[rest]:
-        for tail in _connected_partitions(rest ^ block, adj, blocks):
-            yield (block, *tail)
+        total = spent if charge is None else charge(block, spent)
+        if total is not None:
+            for tail in _connected_partitions(rest ^ block, adj, blocks, charge, total):
+                yield (block, *tail)
 
 
 def _block_chromatic(masks: tuple[int, ...], adj: tuple[int, ...]) -> int:
@@ -341,44 +371,50 @@ def _block_chromatic(masks: tuple[int, ...], adj: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # one block: the witnesses a mode proposes, kept as a cost profile
 
-def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode):
+def _first_per_signature(colorings):
+    """The first coloring of each color-class signature (the first position
+    of each color): the refinement outcome depends on a coloring only
+    through its color classes, and then only through its components."""
+    tried: set[tuple[int, ...]] = set()
+    for colors in colorings:
+        signature = tuple(map(colors.index, colors))
+        if signature not in tried:
+            tried.add(signature)
+            yield colors
+
+
+def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
     """Component partitions (masks) of the block in the order the mode
     proposes them, each with a callable returning how many colors realize it
     (exhaustive mode), or None when a coloring within the palette produced
-    it.  Family functions color the block's vertices by rank, so the
-    family's domain bounds the block size, not the vertex ids."""
+    it; exhaustive mode cuts prefixes by `charge`.  Family functions color
+    the block's vertices by rank, so the family's domain bounds the block
+    size, not the vertex ids."""
     n = len(adj)
     if isinstance(mode, ExhaustiveColorings):
         if n > EXHAUSTIVE_VERTEX_CAP:
             raise SizeCapError(
                 f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {n})")
-        for masks in _connected_partitions((1 << n) - 1, adj):
+        for masks in _connected_partitions((1 << n) - 1, adj, {}, charge):
             yield masks, partial(_block_chromatic, masks, adj)
         return
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
         rng = random.Random(mode.seed)
         iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
-        colorings = ([rng.randint(1, q) for _ in range(n)] for _ in range(iters))
+        colorings = _first_per_signature(
+            [rng.randint(1, q) for _ in range(n)] for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
         if n > mode.domain:
             raise InputError(
                 f"family domain {mode.domain} is smaller than a block of {n} vertices")
         # extra colors past this palette only split components further,
         # which is sound (re-verified)
-        colorings = (f[:n] for f in mode.functions)
+        colorings = mode.distinct(n)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    # the refinement outcome depends on a coloring only through its color
-    # classes (its signature: the first position of each color), and then
-    # only through its components; the first coloring of each is kept
-    tried: set[tuple[int, ...]] = set()
     seen: set[tuple[int, ...]] = set()
     for colors in colorings:
-        signature = tuple(map(colors.index, colors))
-        if signature in tried:
-            continue
-        tried.add(signature)
         parts = _components(adj, _classes(colors))
         if parts not in seen:
             seen.add(parts)
@@ -419,13 +455,19 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
         return best
 
     idx = mask_index(b)
-    shatters: dict = {}
-    for parts, colors_needed in _mode_partitions(idx.adj, k, ell, mode):
-        refined = _refine(idx.adj, parts, min(k - prev[ell], best[0][0] - 1), shatters)
-        if refined is None:
-            continue
+    # per scan and keyed by part mask: each part's shape and minimum shatter
+    adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
+
+    def budget() -> int:
+        return min(k - prev[ell], best[0][0] - 1)
+
+    charge = partial(_charge, adj, shape, shatters, budget)
+    for parts, colors_needed in _mode_partitions(adj, k, ell, mode, charge):
+        refined = _refine(adj, parts, budget(), shape, shatters)
+        if refined is None or refined[1] == 0:
+            continue  # cost 0 is the all-singletons witness, offered first
         bags, cost = refined
-        x = _quotient_excess(idx.adj, bags)
+        x = _quotient_excess(adj, bags)
         if colors_needed is not None and improves(cost, x):
             # the partition counts at allowance e only if q(e) colors realize it
             chi = colors_needed()
@@ -443,11 +485,11 @@ def solve(instance: Instance,
           ) -> ContractionSolution | None:
     """Full solver.  Returned solutions always verify against the instance."""
     g, k, ell = instance.graph, instance.k, instance.ell
-    if k < 0:
+    if k < 0 or not g.is_connected():
         return None
-    if is_near_tree(g, ell):
+    if excess(g) <= ell:
         return ContractionSolution.of(frozenset(), k)
-    if not g.is_connected() or k == 0:
+    if k == 0:
         return None
 
     # bridges have excess 0 and never need a contraction; the largest block goes last

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -515,6 +516,33 @@ class TestCli:
                 seen.add((code, line, bags))
             assert len(seen) == 1, (k, ell, seen)
             assert next(iter(seen))[0] == (1 if (k, ell) in ((1, 0), (2, 0)) else 0)
+
+    def test_large_tree_with_chorded_cycles(self, tmp_path, capsys):
+        # a 2,000-vertex random tree carrying a 6-, a 7- and an 8-cycle, each
+        # with a chord that cuts off a triangle (excess 2 per block).  A
+        # contraction lowers the excess by the common neighbours of its ends,
+        # so only a triangle edge helps: excess 6 -> 3 takes one per block
+        rng = random.Random(2000)
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, 2001)]
+        n = 2000
+        for anchor, size in ((300, 6), (1200, 7), (1900, 8)):
+            ring = [anchor, *range(n + 1, n + size)]
+            n += size - 1
+            edges += [*zip(ring, ring[1:] + ring[:1]), (ring[0], ring[2])]
+        g = Graph.build(range(1, n + 1), edges)
+        src, out = tmp_path / "big.graph", tmp_path / "witness.txt"
+        src.write_text(serialize_graph(g))
+        for mode in ("exhaustive", "derand"):
+            for k, code, word in ((3, 0, "yes"), (2, 1, "no")):
+                start = time.perf_counter()
+                assert main(["--mode", mode, "--k", str(k), "--ell", "3",
+                             "--in", str(src), "--out", str(out)]) == code, (mode, k)
+                assert time.perf_counter() - start < 10, (mode, k)
+                line = capsys.readouterr().out
+                assert line.startswith(f"result decision={word} cost=3 mode={mode}"), line
+                if code == 0:
+                    assert verify_witness(g, parse_witness(out.read_text()), 3, 3).valid
+                    out.unlink()
 
     def test_module_entrypoint(self, tmp_path):
         g = self._write_c4(tmp_path)

@@ -1,10 +1,12 @@
 import itertools
 import random
+from functools import cache, partial
 
 import pytest
 
 from helpers import connected_graphs, glue_blocks
 
+from neartree.cvc import shatter_core
 from neartree.errors import InputError, InternalError
 from neartree.families import coloring_family
 from neartree.graph import (
@@ -25,7 +27,10 @@ from neartree.solver import (
     FamilyColorings,
     RandomColorings,
     _block_chromatic,
+    _charge,
     _connected_partitions,
+    _refine,
+    _shape,
     classify_component,
     monochromatic_components,
     refine_coloring,
@@ -146,6 +151,47 @@ class TestPartitionEnumeration:
         for g in [g for n in range(1, 6) for g in connected_graphs(n)] + sample:
             for q in (2, 3, 4):
                 assert self.by_masks(g, q) == self.by_colorings(g, q), (sorted(g.edges), q)
+
+
+class TestPrefixCut:
+    """Exhaustive scans drop a prefix of parts once the parts' cost floors
+    pass the budget: 0 for a path, which may fall into singletons, else the
+    shatter core - 1.  No partition the refinement accepts may be dropped."""
+
+    @staticmethod
+    def graphs() -> list[Graph]:
+        rng = random.Random(9)
+        out = [g for n in range(1, 7) for g in connected_graphs(n)]
+        for i in range(12):
+            n = 7 + i % 2
+            edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+            extra = rng.randint(2, 5)
+            while len(edges) < n - 1 + extra:
+                edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+            out.append(Graph.build(range(1, n + 1), edges))
+        return out
+
+    def test_cut_drops_only_partitions_refinement_rejects(self):
+        dropped = 0
+        for g in self.graphs():
+            adj = mask_index(g).adj
+            full = (1 << g.n) - 1
+            every = list(_connected_partitions(full, adj))
+            # each part's floor, worked out apart from the scan
+            floors = {x: 0 if _shape(adj, x) is not None
+                      else shatter_core(adj, x, g.n).bit_count() - 1
+                      for p in every for x in p}
+            for budget in range(4):
+                shape, shatters = cache(partial(_shape, adj)), {}
+                charge = partial(_charge, adj, shape, shatters, lambda: budget)
+                kept = list(_connected_partitions(full, adj, charge=charge))
+                case = (sorted(g.edges), budget)
+                assert kept == [p for p in every if p in set(kept)], case  # order kept too
+                assert kept == [p for p in every if sum(map(floors.get, p)) <= budget], case
+                accepted = {p for p in every if _refine(adj, p, budget, shape, shatters)}
+                assert accepted <= set(kept), case
+                dropped += len(every) - len(kept)
+        assert dropped > 0
 
 
 class TestSolve2Connected:
