@@ -114,7 +114,7 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("missing 'p' header", 1)
     if m != len(edges):
         raise ParseError(f"header announced {m} edges, found {len(edges)}", 1)
-    return Graph.build(range(1, n + 1), edges)
+    return Graph(frozenset(range(1, n + 1)), frozenset(edges))  # edges checked above
 
 
 def serialize_graph(g: Graph) -> str:

@@ -7,6 +7,13 @@ disappears, and a large common neighborhood in the high-degree set is
 contracted (the only lossy rule, losing at most a factor alpha).  A trace of
 applied steps drives the lifting; replaying it forward on the original
 instance reproduces the reduced one exactly.
+
+Rules run without a new graph per step.  Connectivity is tested once: a
+contraction keeps it, and a deleted twin leaves twins with its neighbors.  The
+long-path rule re-runs only after a lossy step: for k >= -1 a contraction in a
+run keeps every degree, and a twin deletion lowers only hub degrees, never
+below 4.  Twins go in runs, one rebuild each: while the degree split stands, no
+other twin group changes, so the rule keeps picking the same one.
 """
 
 from __future__ import annotations
@@ -88,16 +95,28 @@ def _long_path_edges(g: Graph, k: int) -> list[Edge]:
     are R's neighbors outside it (two for a chain, one when R closes a cycle
     through a single anchor, none when the graph is a cycle).  The longest
     induced path through R has q = |R| - 2 + |anchors| interior vertices, so
-    R gives its first q - (k + 2) edges in sorted order.
+    R gives its first q - (k + 2) edges in sorted order.  Each run is walked
+    both ways from its lowest vertex; runs come in order of that vertex.
     """
-    deg2 = frozenset(v for v in g.vertices if g.degree(v) == 2)
-    sub = g.subgraph(deg2)
+    adj = g.adjacency
+    seen: set[int] = set()
     out: list[Edge] = []
-    for run in sub.components():
-        anchors = frozenset().union(*(g.neighbors(v) for v in run)) - run
+    for start in sorted(v for v, ns in adj.items() if len(ns) == 2):
+        if start in seen:
+            continue
+        run, anchors = {start}, set()
+        for cur in adj[start]:
+            prev = start
+            while len(adj[cur]) == 2 and cur not in run:  # up to an anchor or round a cycle
+                run.add(cur)
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+            if len(adj[cur]) != 2:
+                anchors.add(cur)
+        seen |= run
         surplus = len(run) - 2 + len(anchors) - (k + 2)
         if surplus > 0:
-            out += sorted({edge(v, w) for v in run for w in sub.neighbors(v)})[:surplus]
+            out += sorted({edge(v, w) for v in run for w in adj[v] if w in run})[:surplus]
     return out
 
 
@@ -116,20 +135,33 @@ def reduce_long_paths(instance: Instance) -> tuple[Instance, LongPathContract | 
 # ---------------------------------------------------------------------------
 # rule: false twins in the independent part
 
-def reduce_false_twins(instance: Instance) -> tuple[Instance, TwinDelete | None]:
+def _twin_run(instance: Instance, part: HIRPartition) -> tuple[frozenset[int], list[int]]:
+    """The rule's group (the eligible one with the lowest member), its shared
+    neighborhood, and the members the one-step rule deletes in a row, largest
+    first, until the group is not eligible or a hub is not high.  No decision
+    rule cuts a run short: k + ell + 2 members on d >= 2 hubs keep cycle rank
+    (d - 1)(k + ell + 1) > ell at k >= 1, and a leaf (d = 1) is on no cycle."""
     g, k, ell = instance.graph, instance.k, instance.ell
-    part = partition_hir(instance)
     groups: dict[frozenset[int], list[int]] = {}
     for v in sorted(part.independent):
         groups.setdefault(g.neighbors(v), []).append(v)
     need = k + ell + 2  # twins besides the vertex itself
     eligible = [vs for vs in groups.values() if len(vs) - 1 >= need]
     if not eligible:
-        return instance, None
+        return frozenset(), []
     group = min(eligible, key=min)
-    victim = max(group)
-    step = TwinDelete(victim, g.neighbors(victim))
-    return Instance(g.without([victim]), k, ell), step
+    hubs, theta = g.neighbors(group[0]), degree_threshold(k, ell)
+    runs = min([len(group) - max(need, 0)] + [g.degree(h) - theta + 1 for h in hubs])
+    return hubs, group[::-1][:runs]
+
+
+def reduce_false_twins(instance: Instance) -> tuple[Instance, TwinDelete | None]:
+    """One application: the first deletion of the rule's twin run."""
+    hubs, victims = _twin_run(instance, partition_hir(instance))
+    if not victims:
+        return instance, None
+    reduced = Instance(instance.graph.without(victims[:1]), instance.k, instance.ell)
+    return reduced, TwinDelete(victims[0], hubs)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +177,11 @@ def lossy_degree(alpha: float) -> int:
 
 
 def reduce_common_neighborhood(instance: Instance, alpha: float,
+                               part: HIRPartition | None = None,  # the split, if known
                                ) -> tuple[Instance, CommonNbrContract | None]:
     g, k, ell = instance.graph, instance.k, instance.ell
     d = lossy_degree(alpha)
-    part = partition_hir(instance)
+    part = part or partition_hir(instance)
     if len(part.high) < d:
         return instance, None
     need = k + ell + 2
@@ -180,60 +213,52 @@ def size_bound(k: int, ell: int, d: int) -> int:
 
 
 def _preliminary(instance: Instance) -> str | None:
-    g, k, ell = instance.graph, instance.k, instance.ell
-    if k < 0 or not g.is_connected():
-        return "no"
-    if excess(g) <= ell:
+    """The basic decision rules on a connected instance."""
+    if instance.k >= 0 and excess(instance.graph) <= instance.ell:
         return "yes"
-    if k == 0:
-        return "no"
-    return None
+    return "no" if instance.k <= 0 else None
+
+
+def _apply_rules(cur: Instance, alpha: float | None) -> tuple[Instance, KernelTrace]:
+    """Long paths, then twins, then (given alpha) common neighborhoods, to a
+    fixed point; given alpha, the decision rules run before every step."""
+    steps: list[Step] = []
+    paths_due = True  # whether the long-path rule may apply
+    while alpha is None or _preliminary(cur) is None:
+        if paths_due:
+            cur, step = reduce_long_paths(cur)
+            # below k = -1 a run can close into a parallel edge, changing degrees
+            paths_due = step is not None and cur.k < -1
+            if step is not None:
+                steps.append(step)
+                continue
+        part = partition_hir(cur)
+        hubs, victims = _twin_run(cur, part)
+        if victims:
+            steps += (TwinDelete(v, hubs) for v in victims)
+            cur = Instance(cur.graph.without(victims), cur.k, cur.ell)
+            continue
+        cur, step = (cur, None) if alpha is None else reduce_common_neighborhood(cur, alpha, part)
+        if step is None:
+            break
+        steps.append(step)
+        paths_due = True
+    return cur, KernelTrace(tuple(steps), None if alpha is None else _preliminary(cur))
 
 
 def kernelize(instance: Instance, alpha: float) -> tuple[Instance, KernelTrace]:
-    """Apply the three rules exhaustively (long paths, then twins, then common
-    neighborhoods), interleaved with the basic decision rules.  Only those
-    rules decide: an undecided result above `size_bound` stays undecided,
-    because without a rule for degree-1 vertices the bound does not hold for
-    yes instances (a large tree with one triangle needs one contraction)."""
-    steps: list[Step] = []
-    cur = instance
-    resolved = None
-    while True:
-        resolved = _preliminary(cur)
-        if resolved is not None:
-            break
-        cur, step = reduce_long_paths(cur)
-        if step is not None:
-            steps.append(step)
-            continue
-        cur, step = reduce_false_twins(cur)
-        if step is not None:
-            steps.append(step)
-            continue
-        cur, step = reduce_common_neighborhood(cur, alpha)
-        if step is not None:
-            steps.append(step)
-            continue
-        break
-    return cur, KernelTrace(tuple(steps), resolved)
+    """The three rules and the basic decision rules to a fixed point.  Only
+    those decide: without a rule for degree-1 vertices `size_bound` does not
+    hold for yes instances (a large tree with one triangle needs one
+    contraction), so an undecided result above it stays undecided."""
+    if not instance.graph.is_connected():
+        return instance, KernelTrace((), "no")
+    return _apply_rules(instance, alpha)
 
 
 def kernelize_exact(instance: Instance) -> tuple[Instance, KernelTrace]:
     """Only the two decision-preserving rules, to a fixed point; no size flag."""
-    steps: list[Step] = []
-    cur = instance
-    while True:
-        cur, step = reduce_long_paths(cur)
-        if step is not None:
-            steps.append(step)
-            continue
-        cur, step = reduce_false_twins(cur)
-        if step is not None:
-            steps.append(step)
-            continue
-        break
-    return cur, KernelTrace(tuple(steps), None)
+    return _apply_rules(instance, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from neartree.graph import Graph, complete_graph, edge
+from neartree.graph import Graph, Instance, complete_graph, edge, excess
+from neartree.kernel import (
+    KernelTrace,
+    reduce_common_neighborhood,
+    reduce_false_twins,
+    reduce_long_paths,
+)
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -183,3 +189,58 @@ def three_long_runs() -> Graph:
     g = subdivide_paths(complete_graph(range(1, 5)), {(1, 2): 8, (3, 4): 10})
     ring = [1, *range(g.n + 1, g.n + 10), 1]
     return Graph.build(g.vertices | set(ring), list(g.edges) + list(zip(ring, ring[1:])))
+
+
+def kernelize_reference(instance: Instance, alpha: float | None) -> tuple[Instance, KernelTrace]:
+    """The kernel as a plain fixed point of the one-step rules: after every
+    step, the decision rules (given alpha) and then every rule in order run
+    again on the new graph.  alpha None applies only the two exact rules and
+    decides nothing, as `kernelize_exact` does."""
+    rules = [reduce_long_paths, reduce_false_twins]
+    if alpha is not None:
+        rules.append(lambda inst: reduce_common_neighborhood(inst, alpha))
+    steps = []
+    cur = instance
+    resolved = None
+    while True:
+        if alpha is not None:
+            g, k = cur.graph, cur.k
+            if k < 0 or not g.is_connected():
+                resolved = "no"
+            elif excess(g) <= cur.ell:
+                resolved = "yes"
+            elif k == 0:
+                resolved = "no"
+            if resolved is not None:
+                break
+        for rule in rules:
+            cur, step = rule(cur)
+            if step is not None:
+                steps.append(step)
+                break
+        else:
+            break
+    return cur, KernelTrace(tuple(steps), resolved)
+
+
+def twin_gadget(rng, a: int, t: int) -> Graph:
+    """K_{a,t} (hubs 1..a) with a seeded pendant tree, a few subdivided
+    paths (some closing a cycle through one end) and a few extra edges,
+    under a seeded relabeling."""
+    edges = [(h, a + 1 + i) for h in range(1, a + 1) for i in range(t)]
+    n = a + t
+    for _ in range(rng.randint(0, 20)):
+        n += 1
+        edges.append((rng.randint(1, n - 1), n))
+    for _ in range(rng.randint(0, 2)):
+        u, v, inner = rng.randint(1, n), rng.randint(1, n), rng.randint(2, 12)
+        path = [u, *range(n + 1, n + inner + 1), v]
+        n += inner
+        edges += zip(path, path[1:])
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        if u != v:
+            edges.append((u, v))
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return Graph.build(perm, ((perm[u - 1], perm[v - 1]) for u, v in edges))

@@ -1,21 +1,33 @@
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, subdivide_paths, three_long_runs
+from helpers import (
+    connected_graphs,
+    kernelize_reference,
+    subdivide_paths,
+    three_long_runs,
+    twin_gadget,
+)
 
+from neartree import kernel
 from neartree.errors import InputError
 from neartree.graph import (
     Graph,
     Instance,
     contract_edges,
     cycle_graph,
+    edge,
     path_graph,
     star_graph,
 )
+from neartree.harness import serialize_trace
 from neartree.kernel import (
+    _long_path_edges,
     CommonNbrContract,
     KernelTrace,
     LongPathContract,
@@ -33,6 +45,7 @@ from neartree.kernel import (
     size_bound,
 )
 from neartree.oracle import exact_decide, exact_opt
+from neartree.solver import ExhaustiveColorings, solve
 from neartree.witness import verify_witness, witness_from_solution
 
 
@@ -94,6 +107,40 @@ class TestLongPaths:
             assert len(lifted) == 1 and lifted <= g.edges
             back, _ = contract_edges(g, step.contracted + tuple(lifted))
             assert back == contract_edges(red.graph, [e])[0], e
+
+
+def long_path_edges_by_definition(g: Graph, k: int) -> tuple[list, list[int]]:
+    """The long-path rule's edges as defined: runs are the components of the
+    subgraph on the degree-2 vertices, in order of their lowest vertex; also
+    each run's number of anchors."""
+    sub = g.subgraph(v for v in g.vertices if g.degree(v) == 2)
+    out, anchor_counts = [], []
+    for run in sub.components():
+        anchors = frozenset().union(*(g.neighbors(v) for v in run)) - run
+        anchor_counts.append(len(anchors))
+        surplus = len(run) - 2 + len(anchors) - (k + 2)
+        if surplus > 0:
+            out += sorted({edge(v, w) for v in run for w in sub.neighbors(v)})[:surplus]
+    return out, anchor_counts
+
+
+class TestRunWalk:
+    def test_matches_the_component_definition(self):
+        # every connected graph of up to 6 vertices, as it is and with one
+        # and two seeded edges subdivided by 3-12 vertices
+        rng = random.Random(6)
+        anchor_counts = set()
+        for n in range(1, 7):
+            for core in connected_graphs(n):
+                es = sorted(core.edges)
+                for chosen in ([], *(rng.sample(es, min(c, len(es))) for c in (1, 2))):
+                    g = subdivide_paths(core, {e: rng.randint(3, 12) for e in chosen})
+                    for k in range(4):
+                        want, counts = long_path_edges_by_definition(g, k)
+                        assert _long_path_edges(g, k) == want, (sorted(g.edges), k)
+                        anchor_counts.update(counts)
+        # plain cycles (no anchor), cycles through one anchor, chains
+        assert {0, 1, 2} <= anchor_counts
 
 
 class TestPartition:
@@ -190,6 +237,60 @@ class TestKernelize:
         bogus = KernelTrace((LongPathContract(((1, 3),)),), None)
         with pytest.raises(InputError):
             replay(inst, bogus)
+
+
+class TestRunsMatchTheStepLoop:
+    """`kernelize` and `kernelize_exact` give what the plain fixed point of
+    the one-step rules gives (`kernelize_reference`): the same trace, reduced
+    graph, reduced budget and resolution."""
+
+    def test_on_twin_gadgets(self):
+        rng = random.Random(2017)
+        fired = Counter()
+        for _ in range(120):
+            g = twin_gadget(rng, rng.randint(1, 4), rng.randint(0, 40))
+            for k in range(-2, 4):
+                for ell in range(3):
+                    inst = Instance(g, k, ell)
+                    for alpha in (None, 1.5, 2.0, 3.0) if k >= 0 else (None,):
+                        red, trace = kernelize(inst, alpha) if alpha else kernelize_exact(inst)
+                        ref, ref_trace = kernelize_reference(inst, alpha)
+                        assert (serialize_trace(inst, red, trace)
+                                == serialize_trace(inst, ref, ref_trace)), (sorted(g.edges), k, ell, alpha)
+                        assert red.graph == ref.graph and red.k == ref.k
+                        assert trace.resolved == ref_trace.resolved
+                        fired.update(type(step).__name__ for step in trace.steps)
+        assert min(fired[name] for name in ("LongPathContract", "TwinDelete",
+                                            "CommonNbrContract")) >= 50, fired
+
+    @staticmethod
+    def k2t_on_a_triangle(t: int) -> Graph:
+        """K_{2,t} with hubs 4 and 5 hung on vertex 1 of a triangle 1-2-3
+        whose edge 2-3 is a path through 20 vertices."""
+        path = [2, *range(6 + t, 26 + t), 3]
+        edges = [(1, 2), (1, 3), (1, 4), (1, 5), *zip(path, path[1:])]
+        edges += [(h, w) for h in (4, 5) for w in range(6, 6 + t)]
+        return Graph.build(range(1, 26 + t), edges)
+
+    def test_graph_rebuilds_do_not_grow_with_t(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kernel, "contract_edges", counted("contract_edges", kernel.contract_edges))
+        monkeypatch.setattr(Graph, "without", counted("without", Graph.without))
+        per_t = []
+        for t in (20, 60):
+            calls.clear()
+            red, trace = kernelize(Instance(self.k2t_on_a_triangle(t), 1, 0), 2.0)
+            # the hubs fall from degree t + 1 to 8, below the threshold 9
+            assert sum(isinstance(step, TwinDelete) for step in trace.steps) == t - 7
+            per_t.append(dict(calls))
+        assert per_t[0] == per_t[1], per_t
 
 
 class TestLift:
@@ -307,6 +408,46 @@ class TestAlphaSafety:
                         check = verify_witness(g, w, ell, k=len(lifted))
                         assert check.valid
                         assert min(len(lifted), k + 1) <= alpha * opt
+
+
+def planted_tree(seed: int, n: int, cycles: int) -> Graph:
+    """A seeded random tree on n vertices, a third of them hung on one of
+    four hubs (so the hubs' leaves are false twins), carrying `cycles`
+    5-8-cycles, each sharing one tree vertex and crossed by one chord
+    (excess 2 each)."""
+    rng = random.Random(seed)
+    edges = [(rng.randint(1, min(4, v - 1)) if rng.random() < 1 / 3 else rng.randint(1, v - 1), v)
+             for v in range(2, n + 1)]
+    total = n
+    for _ in range(cycles):
+        size = rng.randint(5, 8)
+        ring = [rng.randint(1, n), *range(total + 1, total + size)]
+        total += size - 1
+        edges += [*zip(ring, ring[1:] + ring[:1]), (ring[0], ring[rng.randint(2, size - 2)])]
+    return Graph.build(range(1, total + 1), edges)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(250, 2000), cycles=st.integers(2, 3),
+       data=st.data())
+def test_planted_yes_instances_are_never_a_kernel_no(seed, n, cycles, data):
+    """On a tree with chorded cycles at k = OPT (exhaustive mode decides it
+    exactly), the kernel never says no, and an exhaustive solution of the
+    reduced instance lifts to a verified one within alpha * OPT."""
+    g = planted_tree(seed, n, cycles)
+    ell = data.draw(st.integers(0, 2 * cycles - 1))
+    found = frozenset(g.edges)
+    while (sol := solve(Instance(g, len(found) - 1, ell), ExhaustiveColorings())) is not None:
+        found = sol.edges  # cheaper than the last solution; OPT is where that fails
+    opt = len(found)
+    assert opt >= 1
+    inst = Instance(g, opt, ell)
+    red, trace = kernelize(inst, 2.0)
+    assert trace.resolved != "no"
+    sol = solve(red, ExhaustiveColorings())
+    lifted = lift_solution(inst, trace, sol.edges if sol else red.graph.edges)
+    assert verify_witness(g, witness_from_solution(g, lifted), ell, len(lifted)).valid
+    assert min(len(lifted), opt + 1) <= 2.0 * opt
 
 
 class TestLiftOnLargerInstances:
