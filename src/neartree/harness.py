@@ -12,8 +12,9 @@ longpath u1 v1 u2 v2 ..." (the edges of every long run, contracted at once),
 Exit codes: 0 decided yes (kernel mode: not decided no; resolved=none prints
 decision=not-found), 1 decided no (in rand mode, and in derand mode with a
 family file not verified universal: no witness found, printed as
-decision=not-found, which certifies nothing), 2 error.  Every solver answer
-is re-verified through the witness checker before it is printed.
+decision=not-found, which certifies nothing), 2 error.  A yes is checked in
+one place, `witness.certify`, which hands its verified witness on to be
+written; a failed check is an internal error (exit 2, no result line).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import argparse
 import random
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError, ParseError, SizeCapError
 from .families import (
@@ -56,6 +57,7 @@ from .solver import (
 from .witness import (
     ContractionSolution,
     WitnessStructure,
+    certify,
     verify_witness,
     witness_from_solution,
 )
@@ -335,18 +337,12 @@ def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: 
     return base + (f" {extra}" if extra else "")
 
 
-def _emit_solution(cfg: RunConfig, g: Graph, sol: ContractionSolution | None,
-                   certified: bool = True) -> int:
+def _emit_solution(cfg: RunConfig, sol: ContractionSolution | None, certified: bool = True) -> int:
     if sol is None:
         # a miss that certifies nothing is not-found; the exit code stays 1
         print(_result_line(False if certified else None, cfg.k + 1, cfg.mode, cfg.seed))
         return 1
-    structure = witness_from_solution(g, sol.edges)
-    check = verify_witness(g, structure, cfg.ell, cfg.k)
-    if not check.valid:
-        print(f"error: solver produced a non-verifying witness ({check.reason})", file=sys.stderr)
-        return 2
-    _write(cfg.out, serialize_witness(structure))
+    _write(cfg.out, serialize_witness(sol.witness))
     listing = ",".join(f"{u}-{v}" for u, v in sorted(sol.edges)) or "none"
     print(_result_line(True, sol.cost, cfg.mode, cfg.seed, extra=f"edges={listing}"))
     return 0
@@ -371,22 +367,23 @@ def _solve_by_shape(g: Graph, k: int, ell: int, mode) -> ContractionSolution | N
     """`solve` on g renumbered by degree, then by the sorted degrees of the
     neighbours (ties by id), mapped back to g's ids.  The scan's order, and
     so its cost, then follows the graph's shape rather than its vertex ids:
-    relabelled copies of a graph cost the same to decide."""
+    relabelled copies of a graph cost the same to decide.  The renumbering is
+    a bijection, so the certified witness stays verified when mapped back."""
     order = sorted(g.vertices,
                    key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))
     rank = {v: i for i, v in enumerate(order, start=1)}
     h = Graph.build(range(1, g.n + 1), ((rank[u], rank[v]) for u, v in g.edges))
     sol = solve(Instance(h, k, ell), mode)
-    return None if sol is None else ContractionSolution.of(
-        ((order[u - 1], order[v - 1]) for u, v in sol.edges), k)
+    return None if sol is None else replace(
+        sol, edges=frozenset(edge(order[u - 1], order[v - 1]) for u, v in sol.edges),
+        witness=WitnessStructure.of([order[v - 1] for v in b] for b in sol.witness.bags))
 
 
 def run(cfg: RunConfig) -> int:
     if cfg.mode == "exact":
         g = parse_graph(_read(cfg.infile))
         res = exact_opt(g, cfg.ell, min(cfg.k, g.m))
-        sol = ContractionSolution.of(res[0], cfg.k) if res is not None else None
-        return _emit_solution(cfg, g, sol)
+        return _emit_solution(cfg, None if res is None else certify(g, res[0], cfg.k, cfg.ell))
 
     if cfg.mode in ("rand", "exhaustive", "derand"):
         g = parse_graph(_read(cfg.infile))
@@ -414,7 +411,7 @@ def run(cfg: RunConfig) -> int:
         certified = cfg.mode != "rand"
         if sol is None and cfg.family_file:
             certified = _certifies_no(fam, largest, cfg.k, cfg.ell)
-        return _emit_solution(cfg, g, sol, certified)
+        return _emit_solution(cfg, sol, certified)
 
     if cfg.mode == "verify":
         g = parse_graph(_read(cfg.infile))

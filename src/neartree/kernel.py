@@ -179,22 +179,24 @@ def lossy_degree(alpha: float) -> int:
 def reduce_common_neighborhood(instance: Instance, alpha: float,
                                part: HIRPartition | None = None,  # the split, if known
                                ) -> tuple[Instance, CommonNbrContract | None]:
+    """The lexicographically smallest d-set of hubs that k + ell + 2
+    independent vertices share, with the lowest of them, v1, contracted onto
+    it.  An independent vertex has only high neighbors, so counting the
+    d-subsets of each one's neighborhood finds every shared hub set."""
     g, k, ell = instance.graph, instance.k, instance.ell
     d = lossy_degree(alpha)
     part = part or partition_hir(instance)
-    if len(part.high) < d:
+    sharers: dict[tuple[int, ...], list[int]] = {}
+    for v in sorted(part.independent):
+        for hub_set in combinations(sorted(g.neighbors(v)), d):
+            sharers.setdefault(hub_set, []).append(v)
+    shared = [hubs for hubs, vs in sharers.items() if len(vs) >= k + ell + 2]
+    if not shared:
         return instance, None
-    need = k + ell + 2
-    ind = sorted(part.independent)
-    for hub_set in combinations(sorted(part.high), d):
-        hubs = frozenset(hub_set)
-        sharing = [v for v in ind if hubs <= g.neighbors(v)]
-        if len(sharing) >= need:
-            v1 = sharing[0]
-            star = tuple(sorted(edge(v1, h) for h in hub_set))
-            contracted, _ = contract_edges(g, star)
-            return Instance(contracted, k - d + 1, ell), CommonNbrContract(star, d)
-    return instance, None
+    hub_set = min(shared)
+    star = tuple(sorted(edge(sharers[hub_set][0], h) for h in hub_set))
+    contracted, _ = contract_edges(g, star)
+    return Instance(contracted, k - d + 1, ell), CommonNbrContract(star, d)
 
 
 # ---------------------------------------------------------------------------

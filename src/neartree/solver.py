@@ -28,8 +28,9 @@ contracts depends on the other parts.  The set-based public functions
 (`monochromatic_components`, `classify_component`, `refine_coloring`) are
 thin adapters over that core.
 
-Soundness is unconditional: every returned solution is re-verified before it
-leaves this module.  Completeness of exhaustive mode rests on the fact that
+Soundness is unconditional: every returned solution, the early one included,
+comes from `witness.certify`, which verifies its witness or raises.
+Completeness of exhaustive mode rests on the fact that
 the refinement outcome depends on a coloring only through its monochromatic
 components, so it suffices to enumerate partitions of the vertex set into
 connected blocks whose block-adjacency graph is properly colorable with the
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .cvc import shatter_core
-from .errors import InputError, InternalError, SizeCapError
+from .errors import InputError, SizeCapError
 from .graph import (
     Graph,
     Instance,
@@ -64,14 +65,7 @@ from .graph import (
     palette_size,
     reach,
 )
-from .witness import (
-    ContractionSolution,
-    WitnessStructure,
-    quotient,
-    solution_edges,
-    verify_witness,
-    witness_from_solution,
-)
+from .witness import ContractionSolution, WitnessStructure, certify, quotient, solution_edges
 
 EXHAUSTIVE_VERTEX_CAP = 10
 
@@ -483,12 +477,14 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
 def solve(instance: Instance,
           mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
           ) -> ContractionSolution | None:
-    """Full solver.  Returned solutions always verify against the instance."""
+    """Full solver.  Every solution it returns is certified: its witness was
+    verified against the instance by `witness.certify`, which raises
+    InternalError instead of returning an unchecked yes."""
     g, k, ell = instance.graph, instance.k, instance.ell
     if k < 0 or not g.is_connected():
         return None
     if excess(g) <= ell:
-        return ContractionSolution.of(frozenset(), k)
+        return certify(g, (), k, ell)
     if k == 0:
         return None
 
@@ -509,11 +505,7 @@ def solve(instance: Instance,
         if cost[ell] > k:
             return None
 
-    edges = frozenset().union(*(solution_edges(b, w) for b, w in picks[ell]))
-    check = verify_witness(g, witness_from_solution(g, edges), ell, k)
-    if not check.valid:
-        raise InternalError(f"solver output failed verification ({check.reason})")
-    return ContractionSolution.of(edges, k)
+    return certify(g, frozenset().union(*(solution_edges(b, w) for b, w in picks[ell])), k, ell)
 
 
 def solve_2connected(g: Graph, k: int, ell: int,

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graph import Edge, Graph, edge, is_near_tree, spanning_forest
 
 
@@ -37,19 +37,6 @@ class WitnessStructure:
             if v in b:
                 return b
         raise InputError(f"vertex {v} is in no bag")
-
-
-@dataclass(frozen=True)
-class ContractionSolution:
-    """An edge set F to contract, with its value capped at k + 1."""
-
-    edges: frozenset[Edge]
-    cost: int
-
-    @staticmethod
-    def of(edges: Iterable[tuple[int, int]], k: int) -> "ContractionSolution":
-        es = frozenset(edge(u, v) for u, v in edges)
-        return ContractionSolution(es, min(len(es), k + 1))
 
 
 def witness_from_solution(g: Graph, f: Iterable[tuple[int, int]]) -> WitnessStructure:
@@ -123,6 +110,27 @@ def verify_witness(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCh
     if cost > k:
         return WitnessCheck(False, cost, "over-budget")
     return WitnessCheck(True, cost, "ok")
+
+
+@dataclass(frozen=True)
+class ContractionSolution:
+    """An edge set F to contract, its value capped at k + 1, and the witness
+    structure it induces, verified by `certify`."""
+
+    edges: frozenset[Edge]
+    cost: int
+    witness: WitnessStructure
+
+
+def certify(g: Graph, edges: Iterable[tuple[int, int]], k: int, ell: int) -> ContractionSolution:
+    """The one check of a yes: the witness the edges induce must verify
+    within (k, ell), or the answer is a bug and raises InternalError."""
+    es = frozenset(edge(u, v) for u, v in edges)
+    w = witness_from_solution(g, es)
+    check = verify_witness(g, w, ell, k)
+    if not check.valid:
+        raise InternalError(f"solution failed verification ({check.reason})")
+    return ContractionSolution(es, min(len(es), k + 1), w)
 
 
 def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:

@@ -6,10 +6,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from neartree.graph import Graph, Instance, complete_graph, edge, excess
+from neartree.graph import Graph, Instance, complete_graph, contract_edges, edge, excess
 from neartree.kernel import (
+    CommonNbrContract,
     KernelTrace,
-    reduce_common_neighborhood,
+    degree_threshold,
+    lossy_degree,
+    partition_hir,
     reduce_false_twins,
     reduce_long_paths,
 )
@@ -191,14 +194,35 @@ def three_long_runs() -> Graph:
     return Graph.build(g.vertices | set(ring), list(g.edges) + list(zip(ring, ring[1:])))
 
 
+def common_neighborhood_reference(instance: Instance, alpha: float,
+                                  ) -> tuple[Instance, CommonNbrContract | None]:
+    """The lossy rule by its definition: try every d-subset of the high part
+    in lexicographic order and contract the first one that k + ell + 2
+    independent vertices share onto the lowest of them."""
+    g, k, ell = instance.graph, instance.k, instance.ell
+    d = lossy_degree(alpha)
+    part = partition_hir(instance)
+    if len(part.high) < d:
+        return instance, None
+    ind = sorted(part.independent)
+    for hub_set in combinations(sorted(part.high), d):
+        sharing = [v for v in ind if frozenset(hub_set) <= g.neighbors(v)]
+        if len(sharing) >= k + ell + 2:
+            star = tuple(sorted(edge(sharing[0], h) for h in hub_set))
+            contracted, _ = contract_edges(g, star)
+            return Instance(contracted, k - d + 1, ell), CommonNbrContract(star, d)
+    return instance, None
+
+
 def kernelize_reference(instance: Instance, alpha: float | None) -> tuple[Instance, KernelTrace]:
     """The kernel as a plain fixed point of the one-step rules: after every
     step, the decision rules (given alpha) and then every rule in order run
     again on the new graph.  alpha None applies only the two exact rules and
-    decides nothing, as `kernelize_exact` does."""
+    decides nothing, as `kernelize_exact` does.  The lossy rule is
+    `common_neighborhood_reference`, the scan over every hub set."""
     rules = [reduce_long_paths, reduce_false_twins]
     if alpha is not None:
-        rules.append(lambda inst: reduce_common_neighborhood(inst, alpha))
+        rules.append(lambda inst: common_neighborhood_reference(inst, alpha))
     steps = []
     cur = instance
     resolved = None
@@ -241,6 +265,29 @@ def twin_gadget(rng, a: int, t: int) -> Graph:
         u, v = rng.randint(1, n), rng.randint(1, n)
         if u != v:
             edges.append((u, v))
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return Graph.build(perm, ((perm[u - 1], perm[v - 1]) for u, v in edges))
+
+
+def ballast_gadget(rng, k: int, ell: int) -> Graph:
+    """K_{a,t} (a = 2-3 hubs, t <= 10 - a) whose hubs each carry
+    degree_threshold(k, ell) + 0..3 pendant paths of length 2, so they stay
+    high (the ballast is no twin class), with 0-2 chorded cycles hung on
+    seeded vertices, under a seeded relabeling."""
+    a = rng.randint(2, 3)
+    t = rng.randint(1, 10 - a)
+    edges = [(h, a + 1 + i) for h in range(1, a + 1) for i in range(t)]
+    n = a + t
+    for h in range(1, a + 1):
+        for _ in range(degree_threshold(k, ell) + rng.randint(0, 3)):
+            edges += [(h, n + 1), (n + 1, n + 2)]
+            n += 2
+    for _ in range(rng.randint(0, 2)):
+        size = rng.randint(4, 6)
+        ring = [rng.randint(1, n), *range(n + 1, n + size)]
+        n += size - 1
+        edges += [*zip(ring, ring[1:] + ring[:1]), (ring[0], ring[2])]
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return Graph.build(perm, ((perm[u - 1], perm[v - 1]) for u, v in edges))

@@ -544,17 +544,39 @@ class TestCli:
                     assert verify_witness(g, parse_witness(out.read_text()), 3, 3).valid
                     out.unlink()
 
+    @staticmethod
+    def _child_env() -> dict:
+        """The child finds the package where this test imported it from,
+        installed or not."""
+        package_root = str(Path(neartree.__file__).parents[1])
+        return {**os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                             os.environ.get("PYTHONPATH")]))}
+
     def test_module_entrypoint(self, tmp_path):
         g = self._write_c4(tmp_path)
-        # the child finds the package where this test imported it from,
-        # installed or not
-        package_root = str(Path(neartree.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
-                                                            os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "neartree.harness", "--mode", "exact",
              "--k", "0", "--ell", "1", "--in", str(g)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=self._child_env())
         assert proc.returncode == 0
         assert "decision=yes" in proc.stdout
+
+    def test_a_failed_certificate_is_an_error_under_python_O(self, tmp_path, capsys):
+        # C5 at k = 3 is a yes in every solving mode; with every witness
+        # rejected, the yes must not print, asserts stripped or not
+        g = tmp_path / "c5.graph"
+        g.write_text(serialize_graph(cycle_graph(range(1, 6))))
+        script = ("import sys, neartree.harness as harness, neartree.witness as witness\n"
+                  "witness.verify_witness = lambda g, w, ell, k: "
+                  "witness.WitnessCheck(False, w.cost(), 'quotient-outside-class')\n"
+                  "sys.exit(harness.main(sys.argv[1:]))")
+        for mode in ("exact", "exhaustive", "derand", "rand"):
+            args = ["--mode", mode, "--k", "3", "--ell", "0", "--iters", "200", "--in", str(g)]
+            assert main(args) == 0, mode
+            assert "result decision=yes" in capsys.readouterr().out
+            proc = subprocess.run([sys.executable, "-O", "-c", script, *args],
+                                  capture_output=True, text=True, env=self._child_env())
+            assert proc.returncode == 2, (mode, proc.stdout, proc.stderr)
+            assert "result" not in proc.stdout, mode
+            assert "InternalError" in proc.stderr, mode

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ballast_gadget,
+    common_neighborhood_reference,
     connected_graphs,
     kernelize_reference,
     subdivide_paths,
@@ -200,6 +203,53 @@ class TestCommonNeighborhood:
 
     def test_c5_untouched(self):
         _, step = reduce_common_neighborhood(Instance(cycle_graph(range(1, 6)), 1, 0), 2.0)
+        assert step is None
+
+    @staticmethod
+    def hub_probe(shared: tuple[int, ...] = ()) -> Graph:
+        """40 hubs (1..40), each made high by 9 pendant paths of length 2,
+        and 120 independent vertices on seeded distinct hub triples, so no
+        triple is shared twice; plus k + ell + 2 = 3 vertices on `shared`."""
+        rng = random.Random(40)
+        triples = rng.sample(list(combinations(range(1, 41), 3)), 120) + [shared] * 3
+        edges, n = [], 40
+        for hubs in filter(None, triples):
+            n += 1
+            edges += [(h, n) for h in hubs]
+        for h in range(1, 41):
+            for _ in range(9):
+                edges += [(h, n + 1), (n + 1, n + 2)]
+                n += 2
+        return Graph.build(range(1, n + 1), edges)
+
+    def test_hub_count_matches_the_scan_over_every_hub_set(self):
+        """The first shared hub set, found by counting each independent
+        vertex's d-subsets, is the one the scan over all C(|high|, d) hub
+        sets finds: on the probe and on ballast twin gadgets."""
+        cases = [(Instance(self.hub_probe(shared), 1, 0), alpha)
+                 for shared in ((), (5, 17, 30), (2, 3, 39)) for alpha in (1.5, 2.0)]
+        rng = random.Random(1500)
+        for _ in range(40):
+            k, ell = rng.randint(1, 3), rng.randint(0, 2)
+            g = ballast_gadget(rng, k, ell)
+            cases += [(Instance(g, k, ell), alpha) for alpha in (1.5, 2.0, 3.0)]
+        fired = 0
+        for inst, alpha in cases:
+            got = reduce_common_neighborhood(inst, alpha)
+            want = common_neighborhood_reference(inst, alpha)
+            assert got == want, (sorted(inst.graph.edges), inst.k, inst.ell, alpha)
+            fired += got[1] is not None
+        assert fired >= 30, fired
+
+    def test_hub_count_does_not_scan_every_hub_set(self):
+        # d = 4 at alpha 1.34: C(40, 4) = 91,390 hub sets for the full scan,
+        # none for the count, since every independent vertex has 3 hubs
+        inst = Instance(self.hub_probe(), 1, 0)
+        part = partition_hir(inst)
+        assert len(part.high) == 40 and len(part.independent) == 120
+        start = time.perf_counter()
+        _, step = reduce_common_neighborhood(inst, 1.34, part)
+        assert time.perf_counter() - start < 0.1
         assert step is None
 
 

@@ -402,12 +402,22 @@ class TestBlockKnapsack:
 
 
 class TestSoundnessChecks:
-    def test_failed_verification_raises_internal_error(self, monkeypatch):
-        import neartree.solver as solver_module
+    @staticmethod
+    def reject_every_witness(monkeypatch):
+        import neartree.witness as witness_module
 
         def reject(g, w, ell, k):
             return WitnessCheck(False, w.cost(), "quotient-outside-class")
 
-        monkeypatch.setattr(solver_module, "verify_witness", reject)
+        monkeypatch.setattr(witness_module, "verify_witness", reject)
+
+    def test_failed_verification_raises_internal_error(self, monkeypatch):
+        self.reject_every_witness(monkeypatch)
         with pytest.raises(InternalError):
             solve(Instance(BOWTIE, 1, 1), ExhaustiveColorings())
+
+    def test_the_early_yes_is_checked_too(self, monkeypatch):
+        # a tree at k = 0 is a yes before any block is scanned
+        self.reject_every_witness(monkeypatch)
+        with pytest.raises(InternalError):
+            solve(Instance(P5, 0, 0), ExhaustiveColorings())
