@@ -6,6 +6,7 @@ member, and (n, k, q)-universal when every assignment of values to every
 k-subset is realized exactly by some member.  Families here are explicit
 function tables, built at desk scale and checked by brute force; asymptotic
 sizes from the literature are out of scope, property correctness is not.
+numpy is imported only inside the code that builds or verifies universal families.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, isqrt, log
 
-import numpy as np
-
 from .errors import InputError, InternalError, SizeCapError
+from .graph import palette_size
 
 SPLITTER = "splitter"
 UNIVERSAL = "universal"
@@ -40,7 +40,6 @@ class FunctionFamily:
     kind: str  # SPLITTER | UNIVERSAL | PERFECT_HASH
     k: int
     functions: tuple[tuple[int, ...], ...]
-    meta: str = ""
 
     def __post_init__(self):
         for f in self.functions:
@@ -64,7 +63,7 @@ def build_interval_splitter(n: int, k: int, q: int) -> FunctionFamily:
     # x lies in interval 1 + #{split points below x}; distinct points give distinct maps
     funcs = tuple(tuple(bisect_left(points, x) + 1 for x in range(1, n + 1))
                   for points in combinations(range(1, n + 1), q - 1))
-    return FunctionFamily(n, q, SPLITTER, k, funcs, meta=f"interval({n},{k},{q})")
+    return FunctionFamily(n, q, SPLITTER, k, funcs)
 
 
 def _next_prime(x: int) -> int:
@@ -85,11 +84,10 @@ def build_hash_splitter(n: int, k: int) -> FunctionFamily:
     q = k * k
     if n <= q:
         ident = tuple(range(1, n + 1))
-        return FunctionFamily(n, q, SPLITTER, k, (ident,), meta=f"hash-identity({n},{k})")
+        return FunctionFamily(n, q, SPLITTER, k, (ident,))
     p = _next_prime(max(n, q + 1))
     funcs = (tuple(((a * x) % p) % q + 1 for x in range(1, n + 1)) for a in range(1, p))
-    return FunctionFamily(n, q, SPLITTER, k, tuple(dict.fromkeys(funcs)),
-                          meta=f"hash({n},{k},p={p})")
+    return FunctionFamily(n, q, SPLITTER, k, tuple(dict.fromkeys(funcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +119,12 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
     if total > GREEDY_CAP:
         raise SizeCapError(f"constraint space {total} exceeds the greedy cap {GREEDY_CAP}")
 
-    meta = f"greedy({n},{k},{q})"
     if k == 0 or q == 1:
-        return FunctionFamily(n, q, UNIVERSAL, k, ((1,) * n,), meta=meta)
+        return FunctionFamily(n, q, UNIVERSAL, k, ((1,) * n,))
     if k == n:
-        full = tuple(product(range(1, q + 1), repeat=n))
-        return FunctionFamily(n, q, UNIVERSAL, k, full, meta=meta + "-full")
+        return FunctionFamily(n, q, UNIVERSAL, k, tuple(product(range(1, q + 1), repeat=n)))
 
+    import numpy as np
     subsets = np.array(list(combinations(range(n), k)), dtype=np.intp)
     offsets = np.arange(0, total, q ** k, dtype=np.int32)
     uncovered = np.ones(total, dtype=bool)
@@ -170,7 +167,7 @@ def build_universal_greedy(n: int, k: int, q: int, seed: int = 0) -> FunctionFam
                 rows = new[i:i + chunk]
                 counts -= (pool_cells(rows) == hit[rows, None]).sum(0)
 
-    fam = FunctionFamily(n, q, UNIVERSAL, k, tuple(chosen), meta=meta)
+    fam = FunctionFamily(n, q, UNIVERSAL, k, tuple(chosen))
     if not verify_family(fam):  # a miss over this family is printed as a certified no
         raise InternalError(f"greedy({n},{k},{q}) built a family that is not universal")
     return fam
@@ -182,6 +179,7 @@ def _candidate_pool(n: int, q: int, rng: random.Random) -> np.ndarray:
     random partition.  Each entry is a random 16-bit word mod its range (bias
     below range / 2^16), one block of bytes per pool from the stdlib
     generator: numpy.random, and its import, stay out of the derand path."""
+    import numpy as np
     blocks = max(2, min(n, 2 * q))
     cut = n * POOL_RANDOM, n * (POOL_RANDOM + POOL_BLOCK)
     words = np.frombuffer(rng.randbytes(2 * (cut[1] + blocks * POOL_BLOCK)), dtype="<u2")
@@ -193,6 +191,7 @@ def _candidate_pool(n: int, q: int, rng: random.Random) -> np.ndarray:
 
 def _bespoke_repair(n: int, q: int, subsets: np.ndarray, uncovered: np.ndarray) -> np.ndarray:
     """A column of colors minus 1 realizing the first uncovered constraint exactly."""
+    import numpy as np
     si, code = divmod(int(uncovered.argmax()), q ** subsets.shape[1])
     f = np.zeros((n, 1), dtype=np.int32)
     for pos in reversed(subsets[si].tolist()):
@@ -242,8 +241,7 @@ def compose_universal(n: int, k: int, q: int, seed: int = 0) -> FunctionFamily:
             for picks in product(range(len(d_funcs)), repeat=b):
                 g = [d_funcs[i] for i in picks]
                 funcs.append(tuple(g[block_of[x] - 1][fa[x] - 1] for x in range(n)))
-    return FunctionFamily(n, q, UNIVERSAL, k, tuple(dict.fromkeys(funcs)),
-                          meta=f"compose({n},{k},{q};b={b},part={part})")
+    return FunctionFamily(n, q, UNIVERSAL, k, tuple(dict.fromkeys(funcs)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,7 @@ def verify_family(fam: FunctionFamily) -> bool:
     if fam.kind == UNIVERSAL:
         if k == 0:
             return True
+        import numpy as np
         table = np.array(fam.functions, dtype=np.int64) - 1
         weights = np.array([q ** (k - 1 - i) for i in range(k)], dtype=np.int64)
         want = q ** k
@@ -307,10 +306,8 @@ def coloring_family(n: int, k: int, ell: int, seed: int = 0) -> FunctionFamily:
     """Universal family sized for derandomizing the coloring solver: palette
     2*ceil(sqrt(ell)) + 2, subset size 6k + 8*ell clamped to n (the class
     argument needs that many vertices colored specifically; n is the size of
-    the largest block, and a smaller block is covered whole).  Built by
+    the block, and a smaller one colored by rank is covered whole).  Built by
     `build_universal_greedy`, whose seeded generator makes it deterministic
     for a given seed; at the clamp it is the full q^n table."""
-    from .graph import palette_size
-
     target = min(n, 6 * k + 8 * ell)
     return build_universal_greedy(n, target, palette_size(ell), seed=seed)

@@ -15,6 +15,8 @@ family file not verified universal: no witness found, printed as
 decision=not-found, which certifies nothing), 2 error.  A yes is checked in
 one place, `witness.certify`, which hands its verified witness on to be
 written; a failed check is an internal error (exit 2, no result line).
+Derand mode without a family file leaves the colorings of each block to the
+solver (`solver.DerandColorings`), which picks them as it scans the block.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .families import (
     build_interval_splitter,
     build_universal_greedy,
     compose_universal,
-    coloring_family,
     verify_family,
 )
 from .graph import Graph, Instance, biconnected_blocks, edge, palette_size
@@ -48,7 +49,7 @@ from .kernel import (
 )
 from .oracle import exact_opt
 from .solver import (
-    EXHAUSTIVE_VERTEX_CAP,
+    DerandColorings,
     ExhaustiveColorings,
     FamilyColorings,
     RandomColorings,
@@ -348,12 +349,13 @@ def _emit_solution(cfg: RunConfig, sol: ContractionSolution | None, certified: b
     return 0
 
 
-def _certifies_no(fam: FunctionFamily, largest: int, k: int, ell: int) -> bool:
-    """Whether a family-mode miss is a certified no: the family must be
+def _certifies_no(fam: FunctionFamily, g: Graph, k: int, ell: int) -> bool:
+    """Whether a family-mode miss on g is a certified no: the family must be
     universal, with palette_size(ell) colors or more, for subsets of
     min(largest block, 6k + 8 ell) positions or more (and no more than its
     domain, where universality would hold vacuously), and pass verification
     within its cap."""
+    largest = max((b.n for b in biconnected_blocks(g)), default=1)
     if not (fam.kind == UNIVERSAL and fam.q >= palette_size(ell)
             and min(largest, 6 * k + 8 * ell) <= fam.k <= fam.n):
         return False
@@ -391,26 +393,18 @@ def run(cfg: RunConfig) -> int:
             mode = RandomColorings(cfg.seed, cfg.iters)
         elif cfg.mode == "exhaustive":
             mode = ExhaustiveColorings()
+        elif cfg.family_file:
+            fam = parse_family(_read(cfg.family_file))
+            mode = FamilyColorings(fam.functions, fam.n)
         else:
-            # the solver colors one block at a time, by rank
-            largest = max((b.n for b in biconnected_blocks(g)), default=1)
-            if cfg.family_file:
-                fam = parse_family(_read(cfg.family_file))
-                mode = FamilyColorings(fam.functions, fam.n)
-            elif largest <= min(6 * cfg.k + 8 * cfg.ell, EXHAUSTIVE_VERTEX_CAP):
-                # the family would be every q-coloring of the block; scanning
-                # the connected partitions instead is equally complete
-                mode = ExhaustiveColorings()
-            else:
-                fam = coloring_family(largest, cfg.k, cfg.ell, seed=cfg.seed)
-                mode = FamilyColorings(fam.functions, fam.n)
-        if cfg.mode == "derand" and not cfg.family_file:
+            mode = DerandColorings(cfg.seed)
+        if isinstance(mode, DerandColorings):
             sol = _solve_by_shape(g, cfg.k, cfg.ell, mode)
         else:
             sol = solve(Instance(g, cfg.k, cfg.ell), mode)
         certified = cfg.mode != "rand"
-        if sol is None and cfg.family_file:
-            certified = _certifies_no(fam, largest, cfg.k, cfg.ell)
+        if sol is None and isinstance(mode, FamilyColorings):
+            certified = _certifies_no(fam, g, cfg.k, cfg.ell)
         return _emit_solution(cfg, sol, certified)
 
     if cfg.mode == "verify":

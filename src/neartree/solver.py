@@ -19,7 +19,7 @@ cost passes the budget.  Contracting all but one vertex of a block always
 reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
 at least 3 vertices, the case the coloring argument covers.
 
-All three modes scan a block on one bit-mask index built once per block
+Every mode scans a block on one bit-mask index built once per block
 (`graph.MaskIndex`): colorings become color-class masks split into
 components by one mask flood, the shatter is `cvc.shatter_core` on the same
 masks, and the quotient's excess comes from bag reach masks.  A part's shape
@@ -39,6 +39,8 @@ colorings, and there are far fewer of them.  The enumeration drops a prefix
 of parts once their cost floors pass the budget: 0 for a path (it may fall
 apart), else the shatter's exact cost.  Cost only grows along a partition
 and the budget only falls, so no dropped partition would have been refined.
+Derand mode takes this scan for each block within EXHAUSTIVE_VERTEX_CAP, and
+a larger one the universal family for its size, built when it is scanned.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from functools import cache, partial
 
 from .cvc import shatter_core
 from .errors import InputError, SizeCapError
+from .families import coloring_family
 from .graph import (
     Graph,
     Instance,
@@ -104,6 +107,14 @@ class FamilyColorings:
         if n not in self.by_size:
             self.by_size[n] = list(_first_per_signature(f[:n] for f in self.functions))
         return self.by_size[n]
+
+
+@dataclass(frozen=True)
+class DerandColorings:
+    seed: int  # seeds the family of a block above the cap; see `_mode_partitions`
+
+
+Mode = RandomColorings | ExhaustiveColorings | FamilyColorings | DerandColorings
 
 
 def default_iterations(n: int, k: int, ell: int) -> int:
@@ -385,6 +396,9 @@ def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
     the block's vertices by rank, so the family's domain bounds the block
     size, not the vertex ids."""
     n = len(adj)
+    if isinstance(mode, DerandColorings):  # the scan covers every coloring within its cap
+        mode = ExhaustiveColorings() if n <= EXHAUSTIVE_VERTEX_CAP else FamilyColorings(
+            coloring_family(n, k, ell, seed=mode.seed).functions, n)
     if isinstance(mode, ExhaustiveColorings):
         if n > EXHAUSTIVE_VERTEX_CAP:
             raise SizeCapError(
@@ -474,9 +488,7 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
 # ---------------------------------------------------------------------------
 # general graphs: a min-plus knapsack over the blocks
 
-def solve(instance: Instance,
-          mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
-          ) -> ContractionSolution | None:
+def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
     """Full solver.  Every solution it returns is certified: its witness was
     verified against the instance by `witness.certify`, which raises
     InternalError instead of returning an unchecked yes."""
@@ -508,9 +520,7 @@ def solve(instance: Instance,
     return certify(g, frozenset().union(*(solution_edges(b, w) for b, w in picks[ell])), k, ell)
 
 
-def solve_2connected(g: Graph, k: int, ell: int,
-                     mode: RandomColorings | ExhaustiveColorings | FamilyColorings,
-                     ) -> ContractionSolution | None:
+def solve_2connected(g: Graph, k: int, ell: int, mode: Mode) -> ContractionSolution | None:
     """`solve` on a 2-connected graph, or on one already in the class: a single
     block, scanned until its first witness within budget."""
     if k >= 0 and not is_near_tree(g, ell) and not analyze_connectivity(g).is_two_connected:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -223,6 +224,12 @@ class TestCli:
         assert "decision=yes cost=3" in capsys.readouterr().out
         assert main(["--mode", "rand", *args, "--iters", "1", "--seed", "2"]) == 1
         assert "result decision=not-found cost=4 mode=rand" in capsys.readouterr().out
+        # rand mode ignores a family file, and its miss still certifies nothing
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(serialize_family(coloring_family(6, 3, 0)))
+        assert main(["--mode", "rand", *args, "--iters", "1", "--seed", "2",
+                     "--family-file", str(fam_file)]) == 1
+        assert "result decision=not-found cost=4 mode=rand" in capsys.readouterr().out
 
     def test_rand_and_derand_agree(self, tmp_path, capsys):
         g = self._write_c4(tmp_path)
@@ -429,10 +436,11 @@ class TestCli:
         assert "result decision=no cost=2 mode=derand" in capsys.readouterr().out
 
     def test_derand_matches_the_oracle_on_random_graphs(self, tmp_path, capsys):
-        # blocks within 6k + 8 ell take the partition scan, larger ones a
-        # greedy family (k = 1, ell = 0 and a block of 7 or 8 vertices)
-        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
-        routes = set()
+        # every block here is within the exhaustive cap, so derand takes the
+        # partition scan; at (1, 0) a block of more than 6 vertices is also
+        # decided with the greedy family for it from a family file
+        src, out, fam_file = tmp_path / "g.graph", tmp_path / "witness.txt", tmp_path / "fam.txt"
+        family_legs = 0
         for n in range(4, 9):
             for seed in range(6):
                 g = gen_random_instance(n, 0.45, 0, 0, seed=100 * n + seed).graph
@@ -440,17 +448,25 @@ class TestCli:
                 src.write_text(serialize_graph(g))
                 for k in (1, 2):
                     for ell in (0, 1):
-                        routes.add(largest <= 6 * k + 8 * ell)
                         want = exact_decide(Instance(g, k, ell))
-                        code = main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
-                                     "--in", str(src), "--out", str(out), "--seed", str(seed)])
-                        printed = capsys.readouterr().out
-                        case = (sorted(g.edges), k, ell)
-                        assert code == (0 if want else 1), case
-                        assert ("decision=yes" if want else "decision=no ") in printed, case
-                        if want:
-                            assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
-        assert routes == {True, False}
+                        args = ["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                                "--in", str(src), "--out", str(out), "--seed", str(seed)]
+                        legs = [args]
+                        if (k, ell) == (1, 0) and largest > 6:
+                            fam_file.write_text(serialize_family(
+                                coloring_family(largest, 1, 0, seed=seed)))
+                            legs.append([*args, "--family-file", str(fam_file)])
+                            family_legs += 1
+                        for leg in legs:
+                            code = main(leg)
+                            printed = capsys.readouterr().out
+                            case = (sorted(g.edges), k, ell, leg[-1])
+                            assert code == (0 if want else 1), case
+                            assert ("decision=yes" if want else "decision=no ") in printed, case
+                            if want:
+                                assert verify_witness(
+                                    g, parse_witness(out.read_text()), ell, k).valid, case
+        assert family_legs > 0
 
     def test_rand_matches_the_oracle_on_random_graphs(self, tmp_path, capsys):
         # the graphs of the derand oracle test: a yes must verify and agree
@@ -490,11 +506,51 @@ class TestCli:
         assert "result decision=no cost=4 mode=derand" in captured.out
         assert captured.err == ""
 
+    def test_derand_decides_early_exits_without_a_family(self, tmp_path, capsys):
+        # C12 and C11 are already within excess ell, and at k <= 0 nothing is
+        # scanned: derand answers each as exhaustive mode does
+        c12_chord = Graph.build(range(1, 13), list(cycle_graph(range(1, 13)).edges) + [(1, 7)])
+        yes = "result decision=yes cost=0 mode=derand seed=0 edges=none\n"
+        src = tmp_path / "g.graph"
+        for g, k, ell, code, line in (
+                (cycle_graph(range(1, 13)), 1, 1, 0, yes),
+                (cycle_graph(range(1, 12)), 2, 1, 0, yes),
+                (c12_chord, 0, 1, 1, "result decision=no cost=1 mode=derand seed=0\n"),
+                (c12_chord, -1, 0, 1, "result decision=no cost=0 mode=derand seed=0\n")):
+            src.write_text(serialize_graph(g))
+            assert main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                         "--in", str(src)]) == code, (g.n, k, ell)
+            assert capsys.readouterr() == (line, ""), (g.n, k, ell)
+
+    def test_derand_scans_blocks_within_the_cap_without_a_family(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # with every family build refused, derand still decides these: each
+        # block is within the exhaustive cap, or (a diamond beside a C12 at
+        # k = ell = 1) the one above it is decided before its scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("derand built a family")
+
+        monkeypatch.setattr(neartree.families, "build_universal_greedy", refuse)
+        k27_hub = Graph.build(range(1, 10), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 10)])
+        c9_chord = Graph.build(range(1, 10), list(cycle_graph(range(1, 10)).edges) + [(1, 5)])
+        diamond_c12 = Graph.build(range(1, 16), list(cycle_graph([1, 2, 3, 4]).edges) + [(1, 3)]
+                                  + list(cycle_graph([1, *range(5, 16)]).edges))
+        src = tmp_path / "g.graph"
+        for g, k, ell, code, line in (
+                (k27_hub, 1, 0, 0, "result decision=yes cost=1 mode=derand seed=0 edges=1-2"),
+                (c9_chord, 1, 0, 1, "result decision=no cost=2 mode=derand seed=0"),
+                (c9_chord, 0, 1, 1, "result decision=no cost=1 mode=derand seed=0"),
+                (diamond_c12, 1, 1, 0, "result decision=yes cost=1 mode=derand seed=0 edges=1-3")):
+            src.write_text(serialize_graph(g))
+            assert main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
+                         "--in", str(src)]) == code, (g.n, k, ell)
+            assert capsys.readouterr() == (line + "\n", ""), (g.n, k, ell)
+
     def test_derand_follows_the_shape_not_the_ids(self, tmp_path, capsys):
         # every vertex here has its own degree and neighbour degrees, so
         # derand decides each relabelled copy the same way: the same decision
-        # and cost and, for a yes, the image of the same witness; (1, 0) takes a
-        # greedy family (one 8-vertex block), the others the partition scan
+        # and cost and, for a yes, the image of the same witness; its one
+        # 8-vertex block takes the partition scan at every budget
         edges = [(1, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (4, 8),
                  (5, 6), (5, 7), (6, 9), (8, 9)]
         src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
@@ -561,6 +617,32 @@ class TestCli:
             capture_output=True, text=True, env=self._child_env())
         assert proc.returncode == 0
         assert "decision=yes" in proc.stdout
+
+    def test_modes_that_build_no_universal_family_import_no_numpy(self, tmp_path, capsys):
+        # numpy serves only building and verifying universal families, so a
+        # child running every other solving and checking mode never loads it
+        g, red, trace, sol, w = (str(tmp_path / f) for f in
+                                 ("g.graph", "red.graph", "trace.txt", "sol.txt", "w.txt"))
+        (tmp_path / "g.graph").write_text(serialize_graph(Graph.build(
+            range(1, 7), list(cycle_graph(range(1, 7)).edges) + [(1, 4)])))
+        budget = ["--k", "2", "--ell", "1"]
+        assert main(["--mode", "kernel", *budget, "--in", g, "--out", red, "--trace", trace]) == 0
+        assert main(["--mode", "exact", *budget, "--in", red]) == 0
+        listing = capsys.readouterr().out.split("edges=")[-1].strip()
+        (tmp_path / "sol.txt").write_text("".join(f"e {e.replace('-', ' ')}\n"
+                                                  for e in listing.split(",") if e != "none"))
+        runs = [["--mode", "exhaustive", *budget, "--in", g, "--out", w],
+                ["--mode", "derand", *budget, "--in", g],
+                ["--mode", "kernel", *budget, "--in", g, "--out", red, "--trace", trace],
+                ["--mode", "exact", *budget, "--in", red],
+                ["--mode", "lift", "--in", g, "--trace", trace, "--sol", sol],
+                ["--mode", "verify", *budget, "--in", g, "--witness", w]]
+        script = ("import json, sys, neartree, neartree.harness as harness\n"
+                  "codes = [harness.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(codes, 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              capture_output=True, text=True, env=self._child_env())
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False", proc.stdout + proc.stderr
 
     def test_a_failed_certificate_is_an_error_under_python_O(self, tmp_path, capsys):
         # C5 at k = 3 is a yes in every solving mode; with every witness
