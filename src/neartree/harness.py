@@ -382,9 +382,9 @@ def _solve_by_shape(g: Graph, k: int, ell: int, mode) -> ContractionSolution | N
 
 
 def run(cfg: RunConfig) -> int:
-    if cfg.mode == "exact":
-        g = parse_graph(_read(cfg.infile))
-        res = exact_opt(g, cfg.ell, min(cfg.k, g.m))
+    if cfg.mode == "exact":  # the instance checks ell; a negative k is a no
+        g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
+        res = None if cfg.k < 0 else exact_opt(g, cfg.ell, min(cfg.k, g.m))
         return _emit_solution(cfg, None if res is None else certify(g, res[0], cfg.k, cfg.ell))
 
     if cfg.mode in ("rand", "exhaustive", "derand"):
@@ -408,7 +408,7 @@ def run(cfg: RunConfig) -> int:
         return _emit_solution(cfg, sol, certified)
 
     if cfg.mode == "verify":
-        g = parse_graph(_read(cfg.infile))
+        g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
         w = parse_witness(_read(cfg.witness))
         check = verify_witness(g, w, cfg.ell, cfg.k)
         print(_result_line(check.valid, check.cost, cfg.mode, cfg.seed)

@@ -30,22 +30,25 @@ thin adapters over that core.
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
-Completeness of exhaustive mode rests on the fact that
-the refinement outcome depends on a coloring only through its monochromatic
-components, so it suffices to enumerate partitions of the vertex set into
-connected blocks whose block-adjacency graph is properly colorable with the
-palette at hand; those are exactly the component partitions of all q^n
-colorings, and there are far fewer of them.  The enumeration drops a prefix
-of parts once their cost floors pass the budget: 0 for a path (it may fall
-apart), else the shatter's exact cost.  Cost only grows along a partition
-and the budget only falls, so no dropped partition would have been refined.
-Derand mode takes this scan for each block within EXHAUSTIVE_VERTEX_CAP, and
-a larger one the universal family for its size, built when it is scanned.
+Completeness of exhaustive mode: the refinement depends on a coloring only
+through its monochromatic components, and each connected partition P of a
+block is those of a coloring within the palette of its own witness's excess
+x.  Each part's bags are connected in the bag quotient (a path part's pieces
+as the part is connected, a shatter part's singletons as its core is a vertex
+cover of the part); contracting connected sets never raises cycle rank, so
+the graph H of touching parts has excess <= x, and palette_size(x) colors
+color H properly (the coloring lemma, `graph.near_tree_coloring`): give each
+vertex its part's color.  So the scan takes every connected partition and
+offers each witness at its x.  It drops a prefix of parts once their cost
+floors pass the budget: 0 for a path (it may fall apart), else the shatter's
+exact cost.  Cost only grows along a partition and the budget only falls, so
+no dropped partition would have been refined.  Derand mode takes this scan
+for each block within EXHAUSTIVE_VERTEX_CAP, and a larger one the universal
+family for its size, built when first scanned.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -112,6 +115,8 @@ class FamilyColorings:
 @dataclass(frozen=True)
 class DerandColorings:
     seed: int  # seeds the family of a block above the cap; see `_mode_partitions`
+    # (n, k, ell) -> FamilyColorings, so blocks of one size share one build
+    families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 Mode = RandomColorings | ExhaustiveColorings | FamilyColorings | DerandColorings
@@ -275,22 +280,16 @@ def _refine(adj: tuple[int, ...], parts: tuple[int, ...], budget: int,
     return bags, spent
 
 
-def _touching(adj: tuple[int, ...], masks) -> list[int]:
-    """For each mask, the positions of the other masks it has an edge to."""
-    nbr = [0] * len(masks)
-    for i, m in enumerate(masks):
-        out = reach(adj, m) & ~m
-        for j in range(i + 1, len(masks)):
-            if out & masks[j]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-    return nbr
-
-
 def _quotient_excess(adj: tuple[int, ...], bags: list[int]) -> int:
     """Excess of the graph with every bag contracted: adjacent bag pairs
     - (bags - 1)."""
-    return sum(n.bit_count() for n in _touching(adj, bags)) // 2 - len(bags) + 1
+    pairs = 0
+    for i, m in enumerate(bags):
+        out = reach(adj, m) & ~m
+        for j in range(i + 1, len(bags)):
+            if out & bags[j]:
+                pairs += 1
+    return pairs - len(bags) + 1
 
 
 def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int,
@@ -306,7 +305,7 @@ def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration of coloring-distinct component partitions
+# exhaustive enumeration of connected partitions
 
 def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
     """All connected subsets of `rest` containing its lowest bit."""
@@ -327,7 +326,8 @@ def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
 def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None = None,
                           charge=None, spent: int = 0):
     """Partitions of `rest` into connected blocks (as masks, by lowest
-    vertex), lazily; `blocks` keeps each remaining mask's blocks for the
+    vertex), lazily, each with no check of the colors it needs (see the
+    module docstring); `blocks` keeps each remaining mask's blocks for the
     scan.  charge(block, spent) gives the cost floor of a prefix from its
     last block and the floor before it, or None to cut the prefix."""
     if not rest:
@@ -341,36 +341,6 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
         if total is not None:
             for tail in _connected_partitions(rest ^ block, adj, blocks, charge, total):
                 yield (block, *tail)
-
-
-def _block_chromatic(masks: tuple[int, ...], adj: tuple[int, ...]) -> int:
-    """Chromatic number of the block-adjacency graph (exact; tiny inputs)."""
-    t = len(masks)
-    nbr = _touching(adj, masks)
-    order = sorted(range(t), key=lambda i: -nbr[i].bit_count())
-    colors = [0] * t
-
-    def colorable(limit: int, pos: int) -> bool:
-        if pos == t:
-            return True
-        i = order[pos]
-        used = {colors[j] for j in bits(nbr[i])}
-        fresh_cap = max((colors[j] for j in order[:pos]), default=0) + 1
-        for c in range(1, limit + 1):
-            if c in used:
-                continue
-            colors[i] = c
-            if colorable(limit, pos + 1):
-                return True
-            colors[i] = 0
-            if c >= fresh_cap:
-                break  # all unused colors above the current max are symmetric
-        return False
-
-    for limit in range(1, t + 1):
-        if colorable(limit, 0):
-            return limit
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +360,22 @@ def _first_per_signature(colorings):
 
 def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
     """Component partitions (masks) of the block in the order the mode
-    proposes them, each with a callable returning how many colors realize it
-    (exhaustive mode), or None when a coloring within the palette produced
-    it; exhaustive mode cuts prefixes by `charge`.  Family functions color
-    the block's vertices by rank, so the family's domain bounds the block
-    size, not the vertex ids."""
+    proposes them.  Exhaustive mode yields every connected partition, each
+    the components of a coloring within the palette of its own witness's
+    excess (see the module docstring), and cuts prefixes by `charge`.
+    Family functions color the block's vertices by rank, so the family's
+    domain bounds the block size, not the vertex ids."""
     n = len(adj)
     if isinstance(mode, DerandColorings):  # the scan covers every coloring within its cap
-        mode = ExhaustiveColorings() if n <= EXHAUSTIVE_VERTEX_CAP else FamilyColorings(
-            coloring_family(n, k, ell, seed=mode.seed).functions, n)
+        if n > EXHAUSTIVE_VERTEX_CAP and (n, k, ell) not in mode.families:
+            mode.families[n, k, ell] = FamilyColorings(
+                coloring_family(n, k, ell, seed=mode.seed).functions, n)
+        mode = ExhaustiveColorings() if n <= EXHAUSTIVE_VERTEX_CAP else mode.families[n, k, ell]
     if isinstance(mode, ExhaustiveColorings):
         if n > EXHAUSTIVE_VERTEX_CAP:
             raise SizeCapError(
                 f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {n})")
-        for masks in _connected_partitions((1 << n) - 1, adj, {}, charge):
-            yield masks, partial(_block_chromatic, masks, adj)
+        yield from _connected_partitions((1 << n) - 1, adj, {}, charge)
         return
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
@@ -426,7 +397,7 @@ def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
         parts = _components(adj, _classes(colors))
         if parts not in seen:
             seen.add(parts)
-            yield parts, None
+            yield parts
 
 
 def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool,
@@ -443,9 +414,6 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
     improves an entry.
     """
     best: list[tuple[int, WitnessStructure] | None] = [None] * (ell + 1)
-
-    def improves(cost: int, x: int) -> bool:
-        return x <= ell and (best[x] is None or cost < best[x][0])
 
     def offer(cost: int, x: int, structure: WitnessStructure) -> bool:
         """Record a witness reaching excess x; True once the scan can stop."""
@@ -470,17 +438,14 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
         return min(k - prev[ell], best[0][0] - 1)
 
     charge = partial(_charge, adj, shape, shatters, budget)
-    for parts, colors_needed in _mode_partitions(adj, k, ell, mode, charge):
+    for parts in _mode_partitions(adj, k, ell, mode, charge):
         refined = _refine(adj, parts, budget(), shape, shatters)
         if refined is None or refined[1] == 0:
             continue  # cost 0 is the all-singletons witness, offered first
         bags, cost = refined
         x = _quotient_excess(adj, bags)
-        if colors_needed is not None and improves(cost, x):
-            # the partition counts at allowance e only if q(e) colors realize it
-            chi = colors_needed()
-            x = max(x, next(e for e in itertools.count() if palette_size(e) >= chi))
-        if improves(cost, x) and offer(cost, x, WitnessStructure.of(map(idx.members, bags))):
+        if (x <= ell and (best[x] is None or cost < best[x][0])
+                and offer(cost, x, WitnessStructure.of(map(idx.members, bags)))):
             break
     return best
 

@@ -6,7 +6,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from neartree.graph import Graph, Instance, complete_graph, contract_edges, edge, excess
+from neartree.graph import (
+    Graph,
+    Instance,
+    bits,
+    complete_graph,
+    contract_edges,
+    edge,
+    excess,
+    reach,
+)
 from neartree.kernel import (
     CommonNbrContract,
     KernelTrace,
@@ -125,6 +134,48 @@ def connected_partitions_brute(g: Graph) -> set[frozenset[frozenset[int]]]:
         return out
 
     return {frozenset(p) for p in rec(frozenset(verts))}
+
+
+def _touching(adj: tuple[int, ...], masks) -> list[int]:
+    """For each mask, the positions of the other masks it has an edge to."""
+    nbr = [0] * len(masks)
+    for i, m in enumerate(masks):
+        out = reach(adj, m) & ~m
+        for j in range(i + 1, len(masks)):
+            if out & masks[j]:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+    return nbr
+
+
+def _block_chromatic(masks: tuple[int, ...], adj: tuple[int, ...]) -> int:
+    """Chromatic number of the block-adjacency graph (exact; tiny inputs)."""
+    t = len(masks)
+    nbr = _touching(adj, masks)
+    order = sorted(range(t), key=lambda i: -nbr[i].bit_count())
+    colors = [0] * t
+
+    def colorable(limit: int, pos: int) -> bool:
+        if pos == t:
+            return True
+        i = order[pos]
+        used = {colors[j] for j in bits(nbr[i])}
+        fresh_cap = max((colors[j] for j in order[:pos]), default=0) + 1
+        for c in range(1, limit + 1):
+            if c in used:
+                continue
+            colors[i] = c
+            if colorable(limit, pos + 1):
+                return True
+            colors[i] = 0
+            if c >= fresh_cap:
+                break  # all unused colors above the current max are symmetric
+        return False
+
+    for limit in range(1, t + 1):
+        if colorable(limit, 0):
+            return limit
+    return t
 
 
 def split_vertex(g: Graph, v: int, part1: set[int]) -> Graph:

@@ -252,6 +252,20 @@ class TestCli:
         assert code == 1
         assert "reason=disconnected-bag" in capsys.readouterr().out
 
+    def test_exact_and_verify_check_k_and_ell_as_the_solving_modes_do(self, tmp_path, capsys):
+        # a negative ell is an input error (exit 2) and a negative k a no
+        src, w = tmp_path / "p3.graph", tmp_path / "w.txt"
+        src.write_text(serialize_graph(path_graph([1, 2, 3])))
+        w.write_text("1\n2\n3\n")
+        for mode, extra in (("exact", []), ("verify", ["--witness", str(w)]),
+                            ("exhaustive", []), ("derand", [])):
+            assert main(["--mode", mode, "--k", "1", "--ell", "-1", "--in", str(src),
+                         *extra]) == 2, mode
+            assert capsys.readouterr() == ("", "error: excess allowance ell must be nonnegative\n")
+        for mode in ("exact", "exhaustive", "derand"):
+            assert main(["--mode", mode, "--k", "-1", "--ell", "0", "--in", str(src)]) == 1, mode
+            assert capsys.readouterr() == (f"result decision=no cost=0 mode={mode} seed=0\n", "")
+
     def test_kernel_then_lift(self, tmp_path, capsys):
         # C4 with a long tail: the tail shrinks, the C4 still needs 2 contractions
         from neartree.oracle import exact_opt

@@ -4,7 +4,7 @@ from functools import cache, partial
 
 import pytest
 
-from helpers import connected_graphs, glue_blocks
+from helpers import _block_chromatic, connected_graphs, glue_blocks
 
 from neartree.cvc import shatter_core
 from neartree.errors import InputError, InternalError
@@ -15,7 +15,10 @@ from neartree.graph import (
     biconnected_blocks,
     complete_graph,
     cycle_graph,
+    excess,
     mask_index,
+    near_tree_coloring,
+    palette_size,
     path_graph,
     star_graph,
 )
@@ -25,10 +28,11 @@ from neartree.solver import (
     SHATTER,
     ExhaustiveColorings,
     FamilyColorings,
+    DerandColorings,
     RandomColorings,
-    _block_chromatic,
     _charge,
     _connected_partitions,
+    _quotient_excess,
     _refine,
     _shape,
     classify_component,
@@ -126,9 +130,9 @@ class TestRefine:
 
 
 class TestPartitionEnumeration:
-    """Exhaustive mode scans the connected partitions whose block-adjacency
-    graph is q-colorable: exactly the component partitions of all q^n
-    colorings."""
+    """The connected partitions whose block-adjacency graph is q-colorable
+    are exactly the component partitions of all q^n colorings; the
+    chromatic number comes from the reference `helpers._block_chromatic`."""
 
     @staticmethod
     def by_colorings(g: Graph, q: int) -> set:
@@ -192,6 +196,32 @@ class TestPrefixCut:
                 assert accepted <= set(kept), case
                 dropped += len(every) - len(kept)
         assert dropped > 0
+
+
+class TestColoringLemma:
+    """Why exhaustive mode checks no partition's colors: refine a connected
+    partition P into bags with quotient excess x.  The graph H of touching
+    parts has excess <= x, so the coloring lemma colors it with
+    palette_size(x) colors, and each vertex taking its part's color gives
+    back P as the monochromatic components."""
+
+    def test_every_partition_is_realized_within_its_witness_palette(self):
+        for g in TestPrefixCut.graphs():
+            idx = mask_index(g)
+            shape, shatters = cache(partial(_shape, idx.adj)), {}
+            for parts in _connected_partitions((1 << g.n) - 1, idx.adj):
+                bags, _ = _refine(idx.adj, parts, g.n, shape, shatters)
+                x = _quotient_excess(idx.adj, bags)
+                members = [idx.members(p) for p in parts]
+                part_of = {v: i for i, p in enumerate(members, start=1) for v in p}
+                h = Graph.build(range(1, len(parts) + 1), {
+                    (part_of[u], part_of[v]) for u, v in g.edges if part_of[u] != part_of[v]})
+                case = (sorted(g.edges), members)
+                assert excess(h) <= x, case
+                colors = near_tree_coloring(h, excess(h))
+                assert len(set(colors.values())) <= palette_size(x), case
+                lifted = {v: colors[part_of[v]] for v in g.vertices}
+                assert set(monochromatic_components(g, lifted)) == set(members), case
 
 
 class TestSolve2Connected:
@@ -346,6 +376,26 @@ class TestFamilyMode:
                         got = solve(Instance(g, k, ell), mode_cache[key])
                         want = solve(Instance(g, k, ell), ExhaustiveColorings())
                         assert (got is None) == (want is None)
+
+
+class TestDerandMode:
+    def test_blocks_of_one_size_share_one_family_build(self, monkeypatch):
+        # two K2,11 blocks with their hub edge, sharing vertex 1: both are
+        # scanned with the 13-vertex family at (k, ell) = (2, 0)
+        import neartree.solver as solver_module
+
+        builds = []
+
+        def counted(n, k, ell, seed=0):
+            builds.append((n, k, ell))
+            return coloring_family(n, k, ell, seed=seed)
+
+        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        edges = [(1, 2), (1, 14)] + [(h, v) for h in (1, 2) for v in range(3, 14)]
+        edges += [(h, v) for h in (1, 14) for v in range(15, 26)]
+        sol = solve(Instance(Graph.build(range(1, 26), edges), 2, 0), DerandColorings(0))
+        assert sol is not None and sol.edges == {(1, 2), (1, 14)}
+        assert builds == [(13, 2, 0)]
 
 
 class TestBlockKnapsack:
