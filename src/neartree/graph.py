@@ -128,7 +128,7 @@ def star_graph(center: int, leaves: Iterable[int]) -> Graph:
 
 @dataclass(frozen=True)
 class MaskIndex:
-    """A graph's vertices in sorted order, and each one's neighbors as a bit
+    """A graph's vertices in a given order, and each one's neighbors as a bit
     mask over that order: bit i stands for verts[i]."""
 
     verts: tuple[int, ...]
@@ -142,8 +142,9 @@ class MaskIndex:
         return frozenset(self.verts[i] for i in bits(mask))
 
 
-def mask_index(g: Graph) -> MaskIndex:
-    verts = tuple(sorted(g.vertices))
+def mask_index(g: Graph, order=None) -> MaskIndex:
+    """g's index, its vertices sorted by the key `order` (by id when None)."""
+    verts = tuple(sorted(g.vertices, key=order))
     pos = {v: i for i, v in enumerate(verts)}
     adj = [0] * len(verts)
     for u, v in g.edges:

@@ -12,7 +12,8 @@ longpath u1 v1 u2 v2 ..." (the edges of every long run, contracted at once),
 Exit codes: 0 decided yes (kernel mode: not decided no; resolved=none prints
 decision=not-found), 1 decided no (in rand mode, and in derand mode with a
 family file not verified universal: no witness found, printed as
-decision=not-found, which certifies nothing), 2 error.  A yes is checked in
+decision=not-found, which certifies nothing, unless the solver decided it
+before any coloring), 2 error.  A yes is checked in
 one place, `witness.certify`, which hands its verified witness on to be
 written; a failed check is an internal error (exit 2, no result line).
 Derand mode without a family file leaves the colorings of each block to the
@@ -25,7 +26,7 @@ import argparse
 import random
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError, ParseError, SizeCapError
 from .families import (
@@ -224,29 +225,48 @@ def serialize_trace(original: Instance, reduced: Instance, trace: KernelTrace) -
     return "\n".join(lines) + "\n"
 
 
+def _ints(fields, what: str, lineno: int) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(f"{what} must be integers", lineno) from None
+
+
 def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
     """Returns (original k, ell, trace); the reduced budget is re-derived by replay."""
     k = ell = None
     resolved: str | None = None
     steps = []
     for lineno, parts in _records(text):
-        if parts[0] == "instance":
-            k, ell = int(parts[2]), int(parts[4])
-        elif parts[0] == "reduced-k":
+        kind = " ".join(parts[:2]) if parts[0] == "step" else parts[0]
+        if kind == "instance":
+            if len(parts) != 5 or parts[1] != "k" or parts[3] != "ell":
+                raise ParseError("instance line must be 'instance k <k> ell <ell>'", lineno)
+            k, ell = _ints(parts[2::2], "instance budgets", lineno)
+        elif kind == "reduced-k":
             pass  # derivable
-        elif parts[0] == "resolved":
+        elif kind == "resolved":
+            if len(parts) != 2 or parts[1] not in ("none", "yes", "no"):
+                raise ParseError("resolved line must be 'resolved none|yes|no'", lineno)
             resolved = None if parts[1] == "none" else parts[1]
-        elif parts[0] == "step" and parts[1] == "twin":
-            steps.append(TwinDelete(int(parts[2]), frozenset(int(x) for x in parts[3:])))
-        elif parts[0] == "step" and parts[1] in ("longpath", "commonnbr"):
-            flat = [int(x) for x in parts[2:]]
-            d = flat.pop(0) if parts[1] == "commonnbr" else None
+        elif kind == "step twin":
+            ids = _ints(parts[2:], "twin step vertices", lineno)
+            if not ids:
+                raise ParseError("twin step must be 'step twin <v> <neighbors>'", lineno)
+            steps.append(TwinDelete(ids[0], frozenset(ids[1:])))
+        elif kind in ("step longpath", "step commonnbr"):
+            flat = _ints(parts[2:], "contraction step fields", lineno)
+            d = None
+            if kind == "step commonnbr":
+                if not flat:
+                    raise ParseError("commonnbr step must be 'step commonnbr <d> u1 v1 ...'", lineno)
+                d = flat.pop(0)
             if len(flat) % 2:
                 raise ParseError("contracted edges come as vertex pairs", lineno)
             pairs = tuple(edge(flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
             steps.append(LongPathContract(pairs) if d is None else CommonNbrContract(pairs, d))
         else:
-            raise ParseError(f"unknown trace line {parts[0]!r}", lineno)
+            raise ParseError(f"unknown trace line {kind!r}", lineno)
     if k is None or ell is None:
         raise ParseError("trace missing instance line", 1)
     return k, ell, KernelTrace(tuple(steps), resolved)
@@ -365,22 +385,6 @@ def _certifies_no(fam: FunctionFamily, g: Graph, k: int, ell: int) -> bool:
         return False
 
 
-def _solve_by_shape(g: Graph, k: int, ell: int, mode) -> ContractionSolution | None:
-    """`solve` on g renumbered by degree, then by the sorted degrees of the
-    neighbours (ties by id), mapped back to g's ids.  The scan's order, and
-    so its cost, then follows the graph's shape rather than its vertex ids:
-    relabelled copies of a graph cost the same to decide.  The renumbering is
-    a bijection, so the certified witness stays verified when mapped back."""
-    order = sorted(g.vertices,
-                   key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))
-    rank = {v: i for i, v in enumerate(order, start=1)}
-    h = Graph.build(range(1, g.n + 1), ((rank[u], rank[v]) for u, v in g.edges))
-    sol = solve(Instance(h, k, ell), mode)
-    return None if sol is None else replace(
-        sol, edges=frozenset(edge(order[u - 1], order[v - 1]) for u, v in sol.edges),
-        witness=WitnessStructure.of([order[v - 1] for v in b] for b in sol.witness.bags))
-
-
 def run(cfg: RunConfig) -> int:
     if cfg.mode == "exact":  # the instance checks ell; a negative k is a no
         g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
@@ -398,13 +402,13 @@ def run(cfg: RunConfig) -> int:
             mode = FamilyColorings(fam.functions, fam.n)
         else:
             mode = DerandColorings(cfg.seed)
-        if isinstance(mode, DerandColorings):
-            sol = _solve_by_shape(g, cfg.k, cfg.ell, mode)
-        else:
-            sol = solve(Instance(g, cfg.k, cfg.ell), mode)
-        certified = cfg.mode != "rand"
-        if sol is None and isinstance(mode, FamilyColorings):
-            certified = _certifies_no(fam, g, cfg.k, cfg.ell)
+        sol = solve(Instance(g, cfg.k, cfg.ell), mode)
+        certified = True
+        if sol is None and isinstance(mode, (RandomColorings, FamilyColorings)):
+            # certified if solve decided it before any coloring (k <= 0 or a
+            # disconnected graph), or if the family is verified universal
+            certified = (cfg.k <= 0 or not g.is_connected()
+                         or isinstance(mode, FamilyColorings) and _certifies_no(fam, g, cfg.k, cfg.ell))
         return _emit_solution(cfg, sol, certified)
 
     if cfg.mode == "verify":

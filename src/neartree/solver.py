@@ -20,13 +20,14 @@ reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
 at least 3 vertices, the case the coloring argument covers.
 
 Every mode scans a block on one bit-mask index built once per block
-(`graph.MaskIndex`): colorings become color-class masks split into
-components by one mask flood, the shatter is `cvc.shatter_core` on the same
-masks, and the quotient's excess comes from bag reach masks.  A part's shape
-(a path, or shattered) is worked out once per scan; only whether a path
-contracts depends on the other parts.  The set-based public functions
-(`monochromatic_components`, `classify_component`, `refine_coloring`) are
-thin adapters over that core.
+(`graph.MaskIndex`) in shape order (see `solve`), so the scan follows the
+graph's shape, not its ids.  A coloring enters as its color classes
+(`_classes`), split into components by one mask flood; the shatter is
+`cvc.shatter_core` on the same masks, and the quotient's excess comes from
+bag reach masks.  A part's shape (a path, or shattered) is worked out once
+per scan; only whether a path contracts depends on the other parts.  The
+set-based public functions (`monochromatic_components`,
+`classify_component`, `refine_coloring`) are thin adapters over that core.
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
@@ -74,6 +75,7 @@ from .graph import (
 from .witness import ContractionSolution, WitnessStructure, certify, quotient, solution_edges
 
 EXHAUSTIVE_VERTEX_CAP = 10
+RANDOM_DEFAULT_CAP = 1 << 16  # default colorings per block; an explicit count is never capped
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,7 @@ EXHAUSTIVE_VERTEX_CAP = 10
 @dataclass(frozen=True)
 class RandomColorings:
     seed: int
-    iterations: int | None = None  # None: min(class bound, 10 * q^n)
+    iterations: int | None = None  # None: `default_iterations`
 
 
 @dataclass(frozen=True)
@@ -95,10 +97,10 @@ class FamilyColorings:
     """Iterate an explicit list of colorings, e.g. a universal family.
 
     Each function colors one block at a time by rank: position i colors the
-    i-th smallest vertex of the block.  A family universal for t-subsets of
-    [domain] realizes every assignment on every subset of at most t
-    positions of any prefix, so it serves every block of at most `domain`
-    vertices, whatever their ids.
+    i-th vertex of the block in shape order (see `solve`).  A family
+    universal for t-subsets of [domain] realizes every assignment on every
+    subset of at most t positions of any prefix, so it serves every block of
+    at most `domain` vertices, in whatever order they are listed.
     """
 
     functions: tuple[tuple[int, ...], ...]
@@ -106,9 +108,9 @@ class FamilyColorings:
     by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distinct(self, n: int) -> list[tuple[int, ...]]:
-        """The first function of each color-class signature on [n], in order."""
+        """The distinct color-class forms of the functions on [n], in order."""
         if n not in self.by_size:
-            self.by_size[n] = list(_first_per_signature(f[:n] for f in self.functions))
+            self.by_size[n] = list(_distinct(_classes(f[:n]) for f in self.functions))
         return self.by_size[n]
 
 
@@ -124,23 +126,39 @@ Mode = RandomColorings | ExhaustiveColorings | FamilyColorings | DerandColorings
 
 def default_iterations(n: int, k: int, ell: int) -> int:
     """min((2*ceil(sqrt(ell)) + 2)^(6k + 8*ell), 10 * q^n) for a block of n
-    vertices; both are fall-backs, explicit iteration counts are preferred."""
+    vertices; both are fall-backs, explicit iteration counts are preferred.
+    A default above RANDOM_DEFAULT_CAP raises SizeCapError instead of
+    starting a loop that would not end at desk scale."""
     q = palette_size(ell)
-    return min(q ** (6 * k + 8 * ell), 10 * q ** n)
+    iters = min(q ** (6 * k + 8 * ell), 10 * q ** n)
+    if iters > RANDOM_DEFAULT_CAP:
+        raise SizeCapError(f"random mode's default of {iters} colorings for a block of {n} "
+                           f"vertices passes the cap {RANDOM_DEFAULT_CAP}; give --iters")
+    return iters
 
 
 # ---------------------------------------------------------------------------
 # colorings and their components, as masks over the block's index
 
-def _classes(colors) -> list[int]:
-    """Color-class masks of a coloring listed in index order."""
+def _classes(colors) -> tuple[int, ...]:
+    """The class masks of a coloring listed in index order, by lowest vertex:
+    the one form of a coloring the scan deduplicates and refines."""
     classes: dict[int, int] = {}
     for i, c in enumerate(colors):
         classes[c] = classes.get(c, 0) | 1 << i
-    return list(classes.values())
+    return tuple(classes.values())
 
 
-def _components(adj: tuple[int, ...], classes: list[int]) -> tuple[int, ...]:
+def _distinct(items):
+    """The first of each distinct item, lazily."""
+    seen = set()
+    for x in items:
+        if x not in seen:
+            seen.add(x)
+            yield x
+
+
+def _components(adj: tuple[int, ...], classes: tuple[int, ...]) -> tuple[int, ...]:
     """Monochromatic components: the components of every color class, by
     lowest vertex."""
     comps = []
@@ -346,18 +364,6 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
 # ---------------------------------------------------------------------------
 # one block: the witnesses a mode proposes, kept as a cost profile
 
-def _first_per_signature(colorings):
-    """The first coloring of each color-class signature (the first position
-    of each color): the refinement outcome depends on a coloring only
-    through its color classes, and then only through its components."""
-    tried: set[tuple[int, ...]] = set()
-    for colors in colorings:
-        signature = tuple(map(colors.index, colors))
-        if signature not in tried:
-            tried.add(signature)
-            yield colors
-
-
 def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
     """Component partitions (masks) of the block in the order the mode
     proposes them.  Exhaustive mode yields every connected partition, each
@@ -381,26 +387,20 @@ def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
         q = palette_size(ell)
         rng = random.Random(mode.seed)
         iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
-        colorings = _first_per_signature(
-            [rng.randint(1, q) for _ in range(n)] for _ in range(iters))
+        classes = _distinct(_classes([rng.randint(1, q) for _ in range(n)]) for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
         if n > mode.domain:
             raise InputError(
                 f"family domain {mode.domain} is smaller than a block of {n} vertices")
         # extra colors past this palette only split components further,
         # which is sound (re-verified)
-        colorings = mode.distinct(n)
+        classes = mode.distinct(n)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    seen: set[tuple[int, ...]] = set()
-    for colors in colorings:
-        parts = _components(adj, _classes(colors))
-        if parts not in seen:
-            seen.add(parts)
-            yield parts
+    yield from _distinct(_components(adj, c) for c in classes)
 
 
-def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool,
+def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit: bool,
                    ) -> list[tuple[int, WitnessStructure] | None]:
     """Cheapest witnesses found for block b: entry e is (cost, structure)
     bringing b to excess <= e, or None.
@@ -410,8 +410,8 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
     refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
     fits no solution or improves no entry.  With `first_hit` the scan stops
     at the first witness that completes a feasible knapsack.  The scan runs
-    on b's mask index; a structure is built only for a witness that
-    improves an entry.
+    on b's mask index, its vertices in shape order (`rank`, see `solve`); a
+    structure is built only for a witness that improves an entry.
     """
     best: list[tuple[int, WitnessStructure] | None] = [None] * (ell + 1)
 
@@ -424,13 +424,13 @@ def _block_profile(b: Graph, k: int, ell: int, mode, prev: list, first_hit: bool
             return True
         return best[0] is not None and best[0][0] <= 1  # only cost 0 would improve
 
-    v = min(b.vertices)
+    v = min(b.vertices, key=rank)
     if (offer(0, excess(b), WitnessStructure.of([{u} for u in b.vertices]))
             or offer(b.n - 2, 0, WitnessStructure.of([{v}, b.vertices - {v}]))
             or prev[ell] >= k):
         return best
 
-    idx = mask_index(b)
+    idx = mask_index(b, rank)
     # per scan and keyed by part mask: each part's shape and minimum shatter
     adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
 
@@ -466,12 +466,16 @@ def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
         return None
 
     # bridges have excess 0 and never need a contraction; the largest block goes last
-    blocks = sorted((b for b in biconnected_blocks(g) if b.m > 1),
-                    key=lambda b: (b.n, b.m, min(b.vertices)))
+    blocks = [b for b in biconnected_blocks(g) if b.m > 1]
+    # shape order: by degree, then the sorted degrees of the neighbours, ties by id
+    order = sorted({v for b in blocks for v in b.vertices},
+                   key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))
+    rank = {v: i for i, v in enumerate(order)}.__getitem__
+    blocks.sort(key=lambda b: (b.n, b.m, min(map(rank, b.vertices))))
     cost: list[float] = [0] * (ell + 1)  # cost[j]: fewest contractions, total excess <= j
     picks: list[tuple] = [()] * (ell + 1)  # the (block, witness) pairs behind cost[j]
     for i, b in enumerate(blocks):
-        profile = _block_profile(b, k, ell, mode, cost, first_hit=i == len(blocks) - 1)
+        profile = _block_profile(b, rank, k, ell, mode, cost, first_hit=i == len(blocks) - 1)
         new_cost, new_picks = [float("inf")] * (ell + 1), [()] * (ell + 1)
         for j in range(ell + 1):
             for e, entry in enumerate(profile[:j + 1]):

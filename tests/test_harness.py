@@ -122,6 +122,12 @@ class TestOtherFormats:
     def test_trace_step_with_an_unpaired_vertex(self):
         with pytest.raises(ParseError):
             parse_trace("instance k 1 ell 0\nstep longpath 1 2 3\n")
+        # missing or non-integer fields and an unknown resolution are parse errors too
+        for bad in ("instance k 1", "instance k 1 ell x", "step twin", "step twin x 1 2",
+                    "step commonnbr", "step commonnbr 2 1 x", "step", "resolved maybe",
+                    "resolved"):
+            with pytest.raises(ParseError):
+                parse_trace(f"instance k 1 ell 0\n{bad}\n")
 
 
 class TestGadget:
@@ -262,9 +268,17 @@ class TestCli:
             assert main(["--mode", mode, "--k", "1", "--ell", "-1", "--in", str(src),
                          *extra]) == 2, mode
             assert capsys.readouterr() == ("", "error: excess allowance ell must be nonnegative\n")
-        for mode in ("exact", "exhaustive", "derand"):
-            assert main(["--mode", mode, "--k", "-1", "--ell", "0", "--in", str(src)]) == 1, mode
-            assert capsys.readouterr() == (f"result decision=no cost=0 mode={mode} seed=0\n", "")
+        # a miss decided before any coloring is drawn is certified in rand mode too:
+        # a negative k, a disconnected graph, and k = 0 above the allowance
+        disconnected, triangle = tmp_path / "disconnected.graph", tmp_path / "triangle.graph"
+        disconnected.write_text("p 4 1\ne 1 2\n")
+        triangle.write_text(serialize_graph(cycle_graph([1, 2, 3])))
+        for mode in ("exact", "exhaustive", "derand", "rand"):
+            for graph, k, cost in ((src, -1, 0), (disconnected, 1, 2), (triangle, 0, 1)):
+                assert main(["--mode", mode, "--k", str(k), "--ell", "0",
+                             "--in", str(graph)]) == 1, (mode, graph.name)
+                assert capsys.readouterr() == (
+                    f"result decision=no cost={cost} mode={mode} seed=0\n", ""), (mode, graph.name)
 
     def test_kernel_then_lift(self, tmp_path, capsys):
         # C4 with a long tail: the tail shrinks, the C4 still needs 2 contractions
@@ -560,32 +574,61 @@ class TestCli:
                          "--in", str(src)]) == code, (g.n, k, ell)
             assert capsys.readouterr() == (line + "\n", ""), (g.n, k, ell)
 
-    def test_derand_follows_the_shape_not_the_ids(self, tmp_path, capsys):
-        # every vertex here has its own degree and neighbour degrees, so
-        # derand decides each relabelled copy the same way: the same decision
-        # and cost and, for a yes, the image of the same witness; its one
-        # 8-vertex block takes the partition scan at every budget
+    def test_every_mode_follows_the_shape_not_the_ids(self, tmp_path, capsys):
+        # every vertex here has its own degree and neighbour degrees, so each
+        # scanning mode decides each relabelled copy the same way: the same
+        # decision and cost and, for a yes, the image of the same witness.
+        # The one 8-vertex block takes the partition scan at every budget in
+        # derand and exhaustive mode, and a fixed count of seeded draws in rand
         edges = [(1, 2), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5), (2, 6), (4, 8),
                  (5, 6), (5, 7), (6, 9), (8, 9)]
         src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
-        for k, ell in ((1, 0), (2, 0), (3, 0), (2, 2)):
-            seen = set()
-            for perm_seed in range(4):
-                ids = list(range(1, 10))
-                random.Random(perm_seed).shuffle(ids)
-                back = {new: old for old, new in enumerate(ids, start=1)}
-                src.write_text(serialize_graph(Graph.build(
-                    range(1, 10), [(ids[u - 1], ids[v - 1]) for u, v in edges])))
-                code = main(["--mode", "derand", "--k", str(k), "--ell", str(ell),
-                             "--in", str(src), "--out", str(out)])
-                bags = ()
-                if code == 0:
-                    bags = tuple(sorted(tuple(sorted(back[v] for v in bag))
-                                        for bag in parse_witness(out.read_text()).bags))
-                line = capsys.readouterr().out.split(" edges=")[0]  # edges in the copy's ids
-                seen.add((code, line, bags))
-            assert len(seen) == 1, (k, ell, seen)
-            assert next(iter(seen))[0] == (1 if (k, ell) in ((1, 0), (2, 0)) else 0)
+        budgets = ((1, 0), (2, 0), (3, 0), (2, 2), (3, 1), (4, 0))
+        for mode in ("derand", "exhaustive", "rand"):
+            for k, ell in budgets:
+                seen = set()
+                for perm_seed in range(6):
+                    ids = list(range(1, 10))
+                    random.Random(perm_seed).shuffle(ids)
+                    back = {new: old for old, new in enumerate(ids, start=1)}
+                    src.write_text(serialize_graph(Graph.build(
+                        range(1, 10), [(ids[u - 1], ids[v - 1]) for u, v in edges])))
+                    code = main(["--mode", mode, "--k", str(k), "--ell", str(ell),
+                                 "--in", str(src), "--out", str(out),
+                                 "--seed", "3", "--iters", "12"])
+                    bags = ()
+                    if code == 0:
+                        bags = tuple(sorted(tuple(sorted(back[v] for v in bag))
+                                            for bag in parse_witness(out.read_text()).bags))
+                        out.unlink()
+                    line = capsys.readouterr().out.split(" edges=")[0]  # edges in the copy's ids
+                    seen.add((code, line, bags))
+                assert len(seen) == 1, (mode, k, ell, seen)
+                if mode != "rand":
+                    assert next(iter(seen))[0] == (1 if (k, ell) in ((1, 0), (2, 0)) else 0)
+
+    def test_exhaustive_and_derand_print_the_same_answer(self, tmp_path, capsys):
+        # within the exhaustive cap both modes run the same scan on the same
+        # shape order, so they print the same line (mode= aside) and witness
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        yes = 0
+        for seed in range(16):
+            n = 5 + seed % 5
+            src.write_text(serialize_graph(gen_random_instance(n, 0.4, 0, 0, seed=seed).graph))
+            for k in range(4):
+                for ell in range(3):
+                    printed = []
+                    for mode in ("exhaustive", "derand"):
+                        code = main(["--mode", mode, "--k", str(k), "--ell", str(ell),
+                                     "--in", str(src), "--out", str(out)])
+                        witness = out.read_text() if code == 0 else None
+                        if code == 0:
+                            out.unlink()
+                        line = capsys.readouterr().out.replace(f" mode={mode} ", " ")
+                        printed.append((code, line, witness))
+                    assert printed[0] == printed[1], (seed, k, ell, printed)
+                    yes += printed[0][0] == 0
+        assert yes > 0
 
     def test_large_tree_with_chorded_cycles(self, tmp_path, capsys):
         # a 2,000-vertex random tree carrying a 6-, a 7- and an 8-cycle, each
@@ -657,6 +700,31 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                               capture_output=True, text=True, env=self._child_env())
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False", proc.stdout + proc.stderr
+
+    def test_no_solving_mode_hangs_on_a_long_chorded_cycle(self, tmp_path, capsys):
+        # C30 with chords 1-4, 8-23 and 12-27 at (k, ell) = (2, 1): one
+        # 30-vertex block, above every scan cap.  Random mode's default would
+        # be 4^20 colorings, so it is refused; each mode answers or exits 2
+        g = Graph.build(range(1, 31), list(cycle_graph(range(1, 31)).edges)
+                        + [(1, 4), (8, 23), (12, 27)])
+        src = tmp_path / "c30_chords.graph"
+        src.write_text(serialize_graph(g))
+        errors = {}
+        for mode in ("exact", "rand", "exhaustive", "derand", "kernel"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "neartree.harness", "--mode", mode,
+                 "--k", "2", "--ell", "1", "--in", str(src)],
+                capture_output=True, text=True, env=self._child_env(), timeout=10)
+            if proc.returncode == 2:
+                assert proc.stdout == "" and proc.stderr.startswith("error: "), (mode, proc.stderr)
+                errors[mode] = proc.stderr
+            else:
+                assert proc.stdout.startswith("result decision="), (mode, proc.stdout)
+        assert "give --iters" in errors["rand"]
+        # an explicit count is never capped
+        assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(src),
+                     "--iters", "5"]) == 1
+        assert capsys.readouterr().out.startswith("result decision=not-found")
 
     def test_a_failed_certificate_is_an_error_under_python_O(self, tmp_path, capsys):
         # C5 at k = 3 is a yes in every solving mode; with every witness
