@@ -262,13 +262,14 @@ def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, Merge
 
 
 def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
-    """The biconnected blocks of g: every edge lies in exactly one, a bridge
-    is a block of its own, and isolated vertices lie in none.
+    """The biconnected blocks of g that hold a cycle: every edge outside a
+    bridge lies in exactly one, and bridges and isolated vertices lie in
+    none, so a forest has none.
 
     One iterative depth-first pass with low points (Hopcroft & Tarjan,
     "Efficient algorithms for graph manipulation", CACM 1973): when the
     subtree of w cannot reach above its parent v, the edges stacked since
-    (v, w) form a block.
+    (v, w) form a block, a bridge when (v, w) is the only one.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
@@ -284,11 +285,11 @@ def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
             for w in todo:
                 if w not in disc:
                     disc[w] = low[w] = len(disc)
-                    edge_stack.append(edge(v, w))
+                    edge_stack.append((v, w))
                     stack.append((w, v, iter(g.adjacency[w])))
                     break
                 if w != parent and disc[w] < disc[v]:
-                    edge_stack.append(edge(v, w))
+                    edge_stack.append((v, w))
                     low[v] = min(low[v], disc[w])
             else:
                 stack.pop()
@@ -296,11 +297,14 @@ def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
                     continue
                 low[parent] = min(low[parent], low[v])
                 if low[v] >= disc[parent]:
-                    closing = edge(parent, v)
+                    if edge_stack[-1] == (parent, v):  # a bridge
+                        edge_stack.pop()
+                        continue
                     block = []
-                    while not block or block[-1] != closing:
+                    while not block or block[-1] != (parent, v):
                         block.append(edge_stack.pop())
-                    blocks.append(Graph(frozenset(x for e in block for x in e), frozenset(block)))
+                    blocks.append(Graph(frozenset(x for e in block for x in e),
+                                        frozenset(edge(*e) for e in block)))
     return tuple(blocks)
 
 
@@ -312,16 +316,17 @@ class ConnectivityReport:
 
 
 def analyze_connectivity(g: Graph) -> ConnectivityReport:
-    """Components, cut vertices (the vertices in two or more blocks), and
-    2-connectivity (connected, >= 3 vertices, no cut vertex)."""
+    """Components, cut vertices (the vertices in two or more blocks, each
+    bridge a block), and 2-connectivity (connected, >= 3 vertices, no cut
+    vertex)."""
     comps = g.components()
-    seen: set[int] = set()
-    cuts: set[int] = set()
+    blocks_at = {v: g.degree(v) for v in g.vertices}  # each edge a block, then merged
     for b in biconnected_blocks(g):
-        cuts |= seen & b.vertices
-        seen |= b.vertices
+        for v in b.vertices:
+            blocks_at[v] -= b.degree(v) - 1
+    cuts = frozenset(v for v, count in blocks_at.items() if count >= 2)
     two = len(comps) == 1 and g.n >= 3 and not cuts
-    return ConnectivityReport(comps, frozenset(cuts), two)
+    return ConnectivityReport(comps, cuts, two)
 
 
 def _spanning_tree_edges(g: Graph) -> tuple[set[Edge], dict[int, int]]:

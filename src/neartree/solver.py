@@ -19,6 +19,15 @@ cost passes the budget.  Contracting all but one vertex of a block always
 reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
 at least 3 vertices, the case the coloring argument covers.
 
+A short-cycle floor settles a block before its scan, in every mode and at
+any size.  A witness of cost c has n_B - c bags; its quotient drops below
+excess(B) only if it loses more than c edges, so only if a bag holds an edge
+off its spanning tree or two edges join the same two bags.  Either closes a
+cycle of at most c + 2 edges: the tree paths inside the bags (at most c
+edges) and at most two more.  So with no cycle of at most budget + 2 edges
+no witness within the scan's budget beats the cost-0 all-singleton offer,
+and the profile is the two witnesses offered before the scan.
+
 Every mode scans a block on one bit-mask index built once per block
 (`graph.MaskIndex`) in shape order (see `solve`), so the scan follows the
 graph's shape, not its ids.  A coloring enters as its color classes
@@ -389,15 +398,30 @@ def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
         iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
         classes = _distinct(_classes([rng.randint(1, q) for _ in range(n)]) for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
-        if n > mode.domain:
-            raise InputError(
-                f"family domain {mode.domain} is smaller than a block of {n} vertices")
         # extra colors past this palette only split components further,
         # which is sound (re-verified)
         classes = mode.distinct(n)
     else:
         raise InputError(f"unknown mode {mode!r}")
     yield from _distinct(_components(adj, c) for c in classes)
+
+
+def _has_cycle_within(adj: tuple[int, ...], length: int) -> bool:
+    """Whether some cycle has at most `length` edges, by a breadth-first
+    search to depth length // 2 from each vertex: an edge inside layer d, or
+    a vertex reached twice from it, closes a cycle of at most 2d + 1 or
+    2d + 2 edges, and the search from a vertex of a shortest cycle finds one."""
+    for root in range(len(adj)):
+        seen = layer = 1 << root
+        for d in range((length + 1) // 2):
+            ahead = 0
+            for i in bits(layer):
+                out = adj[i] & ~seen
+                if adj[i] & layer or out & ahead and 2 * d + 2 <= length:
+                    return True
+                ahead |= out
+            seen, layer = seen | ahead, ahead
+    return False
 
 
 def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit: bool,
@@ -409,7 +433,8 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
     contractions bringing them to total excess <= j), so a partition is only
     refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
     fits no solution or improves no entry.  With `first_hit` the scan stops
-    at the first witness that completes a feasible knapsack.  The scan runs
+    at the first witness that completes a feasible knapsack, and a block with
+    no cycle of at most cap + 2 edges is not scanned at all.  The scan runs
     on b's mask index, its vertices in shape order (`rank`, see `solve`); a
     structure is built only for a witness that improves an entry.
     """
@@ -430,13 +455,17 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
             or prev[ell] >= k):
         return best
 
-    idx = mask_index(b, rank)
-    # per scan and keyed by part mask: each part's shape and minimum shatter
-    adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
+    if isinstance(mode, FamilyColorings) and b.n > mode.domain:
+        raise InputError(f"family domain {mode.domain} is smaller than a block of {b.n} vertices")
 
     def budget() -> int:
         return min(k - prev[ell], best[0][0] - 1)
 
+    idx = mask_index(b, rank)
+    if not _has_cycle_within(idx.adj, budget() + 2):
+        return best  # no witness within the budget lowers b's excess
+    # per scan and keyed by part mask: each part's shape and minimum shatter
+    adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
     charge = partial(_charge, adj, shape, shatters, budget)
     for parts in _mode_partitions(adj, k, ell, mode, charge):
         refined = _refine(adj, parts, budget(), shape, shatters)
@@ -465,8 +494,8 @@ def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
     if k == 0:
         return None
 
-    # bridges have excess 0 and never need a contraction; the largest block goes last
-    blocks = [b for b in biconnected_blocks(g) if b.m > 1]
+    # the blocks leave out bridges, which never need a contraction; the largest goes last
+    blocks = list(biconnected_blocks(g))
     # shape order: by degree, then the sorted degrees of the neighbours, ties by id
     order = sorted({v for b in blocks for v in b.vertices},
                    key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))

@@ -236,6 +236,32 @@ def subdivide_paths(g: Graph, inner: dict[tuple[int, int], int]) -> Graph:
     return Graph.build(g.vertices | set(range(max(g.vertices) + 1, fresh)), edges)
 
 
+def subdivided_k33() -> Graph:
+    """K3,3 on sides 1-3 and 4-6 with every edge subdivided twice: 24
+    vertices, 27 edges, one block of excess 4 and girth 12."""
+    return subdivide_paths(Graph.build(range(1, 7), [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]),
+                           {(a, b): 2 for a in (1, 2, 3) for b in (4, 5, 6)})
+
+
+def girth(g: Graph) -> float:
+    """Length of a shortest cycle (inf for a forest): for each edge (u, v),
+    one more than the distance from u to v without it."""
+    best = float("inf")
+    for u, v in g.edges:
+        dist, frontier = {u: 0}, [u]
+        while frontier and v not in dist:
+            nxt = []
+            for x in frontier:
+                for y in g.neighbors(x):
+                    if y not in dist and {x, y} != {u, v}:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best
+
+
 def three_long_runs() -> Graph:
     """K4 on 1..4 with edge 1-2 subdivided by 8 vertices, edge 3-4 by 10, and
     a ring of 9 more vertices closing a cycle through vertex 1: two long runs

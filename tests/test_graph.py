@@ -8,6 +8,7 @@ from neartree.errors import InputError
 from neartree.graph import (
     Graph,
     analyze_connectivity,
+    biconnected_blocks,
     complete_graph,
     contract_edges,
     cycle_graph,
@@ -108,6 +109,28 @@ class TestConnectivity:
     def test_k2_is_not_two_connected(self):
         rep = analyze_connectivity(Graph.build([1, 2], [(1, 2)]))
         assert not rep.is_two_connected
+
+
+class TestBlocks:
+    def test_a_forest_has_no_blocks(self):
+        assert biconnected_blocks(P4) == ()
+        assert biconnected_blocks(Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)])) == ()
+
+    def test_every_edge_off_a_bridge_lies_in_one_block(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                bridges = {e for e in g.edges
+                           if not Graph(g.vertices, g.edges - {e}).is_connected()}
+                blocks = biconnected_blocks(g)
+                assert sum(b.m for b in blocks) == g.m - len(bridges), sorted(g.edges)
+                assert frozenset().union(*(b.edges for b in blocks)) == g.edges - bridges
+
+    def test_cut_vertices_match_brute_force(self):
+        # a cut vertex is one whose removal adds a component, trees included
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                brute = {v for v in g.vertices if len(g.without([v]).components()) > 1}
+                assert analyze_connectivity(g).cut_vertices == brute, sorted(g.edges)
 
 
 class TestColoring:

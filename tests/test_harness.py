@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, three_long_runs
+from helpers import connected_graphs, subdivided_k33, three_long_runs
 
 import neartree
 from neartree.errors import ParseError
@@ -472,7 +472,7 @@ class TestCli:
         for n in range(4, 9):
             for seed in range(6):
                 g = gen_random_instance(n, 0.45, 0, 0, seed=100 * n + seed).graph
-                largest = max(b.n for b in biconnected_blocks(g))
+                largest = max((b.n for b in biconnected_blocks(g)), default=1)
                 src.write_text(serialize_graph(g))
                 for k in (1, 2):
                     for ell in (0, 1):
@@ -522,17 +522,31 @@ class TestCli:
                         found.add((want, code))
         assert found == {(True, 0), (True, 1), (False, 1)}  # some yes instances are missed
 
-    def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys):
-        # C14 with chord 1-8: one 14-vertex block, more than the exhaustive
-        # cap, so derand scans the full 2^14 table instead
-        g = Graph.build(range(1, 15), list(cycle_graph(range(1, 15)).edges) + [(1, 8)])
-        src = tmp_path / "c14_chord.graph"
-        src.write_text(serialize_graph(g))
-        assert not exact_decide(Instance(g, 3, 0))
-        assert main(["--mode", "derand", "--k", "3", "--ell", "0", "--in", str(src)]) == 1
-        captured = capsys.readouterr()
-        assert "result decision=no cost=4 mode=derand" in captured.out
-        assert captured.err == ""
+    def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys, monkeypatch):
+        # C14 with chord 1-8 (girth 8) and C12 with chord 1-3: one block above
+        # the exhaustive cap each.  At k = 3 no cycle of C14's is short
+        # enough to lower its excess, so it is decided with no family built;
+        # C12's triangle is, so derand scans it with the 12-vertex family
+        import neartree.solver as solver_module
+
+        builds = []
+
+        def counted(n, k, ell, seed=0):
+            builds.append((n, k, ell))
+            return coloring_family(n, k, ell, seed=seed)
+
+        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        src = tmp_path / "g.graph"
+        for n, chord, k, built in ((14, (1, 8), 3, []), (12, (1, 3), 2, [(12, 2, 0)])):
+            g = Graph.build(range(1, n + 1), list(cycle_graph(range(1, n + 1)).edges) + [chord])
+            src.write_text(serialize_graph(g))
+            assert not exact_decide(Instance(g, k, 0))
+            builds.clear()
+            assert main(["--mode", "derand", "--k", str(k), "--ell", "0", "--in", str(src)]) == 1
+            captured = capsys.readouterr()
+            assert f"result decision=no cost={k + 1} mode=derand" in captured.out
+            assert captured.err == ""
+            assert builds == built, n
 
     def test_derand_decides_early_exits_without_a_family(self, tmp_path, capsys):
         # C12 and C11 are already within excess ell, and at k <= 0 nothing is
@@ -725,6 +739,23 @@ class TestCli:
         assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(src),
                      "--iters", "5"]) == 1
         assert capsys.readouterr().out.startswith("result decision=not-found")
+
+    def test_blocks_above_the_caps_are_decided_by_the_floor(self, tmp_path):
+        # K3,3 with every edge subdivided twice (girth 12) and C2000 with chord
+        # 1-1000 (girth 1000): one block above every scan cap each, with no
+        # cycle short enough for k = 1 to lower its excess.  Each mode decides
+        # without a scan, quickly on C2000 only if the cycle search is bounded
+        c2000 = Graph.build(range(1, 2001), list(cycle_graph(range(1, 2001)).edges) + [(1, 1000)])
+        for name, g in (("k33", subdivided_k33()), ("c2000", c2000)):
+            src = tmp_path / f"{name}.graph"
+            src.write_text(serialize_graph(g))
+            for mode, decision in (("exhaustive", "no"), ("derand", "no"), ("rand", "not-found")):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "neartree.harness", "--mode", mode,
+                     "--k", "1", "--ell", "1", "--in", str(src)],
+                    capture_output=True, text=True, env=self._child_env(), timeout=5)
+                assert proc.returncode == 1, (name, mode, proc.stderr)
+                assert proc.stdout.startswith(f"result decision={decision} "), (name, mode)
 
     def test_a_failed_certificate_is_an_error_under_python_O(self, tmp_path, capsys):
         # C5 at k = 3 is a yes in every solving mode; with every witness

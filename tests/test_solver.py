@@ -4,7 +4,7 @@ from functools import cache, partial
 
 import pytest
 
-from helpers import _block_chromatic, connected_graphs, glue_blocks
+from helpers import _block_chromatic, connected_graphs, girth, glue_blocks, subdivided_k33
 
 from neartree.cvc import shatter_core
 from neartree.errors import InputError, InternalError
@@ -30,8 +30,10 @@ from neartree.solver import (
     FamilyColorings,
     DerandColorings,
     RandomColorings,
+    _block_profile,
     _charge,
     _connected_partitions,
+    _has_cycle_within,
     _quotient_excess,
     _refine,
     _shape,
@@ -269,8 +271,9 @@ class TestSolve:
                 for ell in range(0, 3):
                     for k in range(0, 4):
                         want = oracle_cache.decide(g, k, ell)
-                        got = solve(Instance(g, k, ell), ExhaustiveColorings())
-                        assert (got is not None) == want, (sorted(g.edges), k, ell)
+                        for mode in (ExhaustiveColorings(), DerandColorings(0)):
+                            got = solve(Instance(g, k, ell), mode)
+                            assert (got is not None) == want, (sorted(g.edges), k, ell, mode)
 
     def test_matches_oracle_on_sample_of_eight_vertex_graphs(self, oracle_cache):
         import random
@@ -449,6 +452,56 @@ class TestBlockKnapsack:
         sol = solve(Instance(g, 3, 3), ExhaustiveColorings())
         assert sol is not None and sol.cost <= 3
         assert solve(Instance(g, 1, 3), ExhaustiveColorings()) is None
+
+
+class TestShortCycleFloor:
+    """A block with no cycle of at most budget + 2 edges has no witness within
+    the budget below its excess, so `_block_profile` returns it unscanned."""
+
+    def test_finds_exactly_the_cycles_within_the_length(self):
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs += [cycle_graph(range(1, n + 1)) for n in (7, 11, 12)] + [subdivided_k33()]
+        for g in graphs:
+            adj, shortest = mask_index(g).adj, girth(g)
+            for length in range(14):
+                assert _has_cycle_within(adj, length) == (shortest <= length), (
+                    sorted(g.edges), length)
+
+    def test_profiles_match_the_oracle_on_every_small_block(self, oracle_cache, monkeypatch):
+        # with no block before it, entry e of a block's profile is the
+        # optimum for excess <= e wherever that is within k; a floor that
+        # skipped a block with a cheaper witness would leave a dearer entry
+        import neartree.solver as solver_module
+
+        floors = []
+
+        def recorded(adj, length):
+            floors.append(_has_cycle_within(adj, length))
+            return floors[-1]
+
+        monkeypatch.setattr(solver_module, "_has_cycle_within", recorded)
+        blocks = [g for n in range(3, 7) for g in connected_graphs(n)
+                  if biconnected_blocks(g) == (g,)]
+        for g in blocks:
+            for ell in range(3):
+                for k in range(4):
+                    profile = _block_profile(g, lambda v: v, k, ell, ExhaustiveColorings(),
+                                             [0] * (ell + 1), first_hit=False)
+                    for e, entry in enumerate(profile):
+                        opt, case = oracle_cache.opt(g, e), (sorted(g.edges), k, ell, e)
+                        if opt is not None and opt <= k:
+                            assert entry is not None and entry[0] == opt, case
+                        else:
+                            assert entry is None or entry[0] > k, case
+        assert True in floors and False in floors  # some blocks scanned, some skipped
+
+    def test_a_witness_of_exactly_the_floor_is_found(self):
+        # C6 with chord 1-4 is two 4-cycles: at (2, 1) its only improving
+        # witness costs g - 2 = 2, the whole budget, so a floor that asked
+        # for a cycle of at most budget + 1 edges would skip the block
+        for mode in (ExhaustiveColorings(), DerandColorings(0), RandomColorings(1, 50)):
+            sol = solve(Instance(C6_CHORD, 2, 1), mode)
+            assert sol is not None and sol.cost == 2, mode
 
 
 class TestSoundnessChecks:
