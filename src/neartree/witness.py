@@ -4,16 +4,20 @@ A witness structure certifies a contraction: each bag collapses to one
 vertex of the contracted graph, and bag adjacency defines its edges.  The
 cost of a structure is the number of contracted edges it needs, which is
 sum(|bag| - 1) over all bags.
+
+Every check runs on the graph core's one union-find (`spanning_forest`):
+a solution's bags are its merge groups, and verification and the quotient
+share one pass over the edges that finds the bag pairs, with no `Graph`,
+adjacency map or breadth-first search built per check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, InternalError
-from .graph import Edge, Graph, edge, is_near_tree, spanning_forest
+from .graph import Edge, Graph, edge, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -24,57 +28,48 @@ class WitnessStructure:
 
     @staticmethod
     def of(bags: Iterable[Iterable[int]]) -> "WitnessStructure":
-        normalized = tuple(sorted((frozenset(b) for b in bags), key=min))
-        if any(not b for b in normalized):
+        sets = [frozenset(b) for b in bags]
+        if not all(sets):
             raise InputError("witness bags must be nonempty")
-        return WitnessStructure(normalized)
+        return WitnessStructure(tuple(sorted(sets, key=min)))
 
     def cost(self) -> int:
         return sum(len(b) - 1 for b in self.bags)
 
-    def bag_of(self, v: int) -> frozenset[int]:
-        for b in self.bags:
-            if v in b:
-                return b
-        raise InputError(f"vertex {v} is in no bag")
-
 
 def witness_from_solution(g: Graph, f: Iterable[tuple[int, int]]) -> WitnessStructure:
-    """Bags are the connected components of (V, f); untouched vertices become singletons."""
+    """Bags are the groups of the union-find over f; untouched vertices become singletons."""
     fset = frozenset(edge(u, v) for u, v in f)
     if not fset <= g.edges:
         raise InputError("solution edges must belong to the graph")
-    skeleton = Graph(g.vertices, fset)
-    return WitnessStructure.of(skeleton.components())
+    bags: dict[int, list[int]] = {}
+    for v, rep in spanning_forest(g.vertices, fset)[1].items():
+        bags.setdefault(rep, []).append(v)
+    return WitnessStructure.of(bags.values())
 
 
-def _is_partition(g: Graph, w: WitnessStructure) -> bool:
-    seen: set[int] = set()
-    for b in w.bags:
-        if not b or (b & seen) or not b <= g.vertices:
-            return False
-        seen |= b
-    return seen == g.vertices
+def _bag_pairs(g: Graph, w: WitnessStructure) -> tuple[str, frozenset[int] | set[Edge] | None]:
+    """One pass over g's edges: ("ok", the pairs of bag indices an edge
+    joins), ("not-partition", None) or ("disconnected-bag", the first bag,
+    in bag order, that does not induce a connected subgraph).
 
-
-def _split_bag(g: Graph, w: WitnessStructure) -> frozenset[int] | None:
-    """The first bag that does not induce a connected subgraph, or None.
-
-    One pass: the components of the graph of edges inside bags refine the
-    bags, so a bag is connected exactly when it holds one component.
+    The edges inside bags go to one union-find; since its groups refine the
+    bags, every bag is connected exactly when its forest has n - #bags edges.
     """
     bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
-    inside = Graph(g.vertices, frozenset(e for e in g.edges if bag_of[e[0]] == bag_of[e[1]]))
-    pieces = Counter(bag_of[min(c)] for c in inside.components())
-    return next((b for i, b in enumerate(w.bags) if pieces[i] > 1), None)
-
-
-def _contract_bags(g: Graph, w: WitnessStructure) -> Graph:
-    rep: dict[int, int] = {}
-    for b in w.bags:
-        rep.update(dict.fromkeys(b, min(b)))
-    q_edges = {edge(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]}
-    return Graph(frozenset(rep.values()), frozenset(q_edges))
+    if not all(w.bags) or len(bag_of) != sum(map(len, w.bags)) or bag_of.keys() != g.vertices:
+        return "not-partition", None
+    inside, pairs = [], set()
+    for u, v in g.edges:
+        i, j = bag_of[u], bag_of[v]
+        if i == j:
+            inside.append((u, v))
+        else:
+            pairs.add((i, j) if i < j else (j, i))
+    forest, merge = spanning_forest(g.vertices, inside)
+    if len(forest) != g.n - len(w.bags):
+        return "disconnected-bag", next(b for b in w.bags if len({merge[v] for v in b}) > 1)
+    return "ok", pairs
 
 
 def quotient(g: Graph, w: WitnessStructure) -> Graph:
@@ -83,12 +78,13 @@ def quotient(g: Graph, w: WitnessStructure) -> Graph:
     Matches the naming convention of contract_edges, so quotients and
     contractions compare by equality rather than just isomorphism.
     """
-    if not _is_partition(g, w):
+    status, found = _bag_pairs(g, w)
+    if status == "not-partition":
         raise InputError("bags do not partition the vertex set")
-    bad = _split_bag(g, w)
-    if bad is not None:
-        raise InputError(f"bag {sorted(bad)} does not induce a connected subgraph")
-    return _contract_bags(g, w)
+    if status == "disconnected-bag":
+        raise InputError(f"bag {sorted(found)} does not induce a connected subgraph")
+    rep = [min(b) for b in w.bags]
+    return Graph(frozenset(rep), frozenset(edge(rep[i], rep[j]) for i, j in found))
 
 
 @dataclass(frozen=True)
@@ -99,13 +95,17 @@ class WitnessCheck:
 
 
 def verify_witness(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCheck:
-    """Full validity check; never raises, reports the first failing condition."""
+    """Full validity check; never raises, reports the first failing condition.
+
+    The quotient is within excess ell of a tree when its bag pairs connect
+    all #bags vertices and number at most #bags - 1 + ell.
+    """
     cost = w.cost()
-    if not _is_partition(g, w):
-        return WitnessCheck(False, cost, "not-partition")
-    if _split_bag(g, w) is not None:
-        return WitnessCheck(False, cost, "disconnected-bag")
-    if not is_near_tree(_contract_bags(g, w), ell):
+    status, pairs = _bag_pairs(g, w)
+    if status != "ok":
+        return WitnessCheck(False, cost, status)
+    nbags = len(w.bags)
+    if len(spanning_forest(range(nbags), pairs)[0]) != nbags - 1 or len(pairs) > nbags - 1 + ell:
         return WitnessCheck(False, cost, "quotient-outside-class")
     if cost > k:
         return WitnessCheck(False, cost, "over-budget")
@@ -141,13 +141,6 @@ def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:
     return frozenset(spanning_forest(g.vertices, inside)[0])
 
 
-def _leaf_bags(g: Graph, w: WitnessStructure) -> list[frozenset[int]]:
-    """Bags whose quotient vertex has exactly one neighbor."""
-    q = quotient(g, w)
-    rep = {min(b): b for b in w.bags}
-    return [rep[v] for v in sorted(q.vertices) if q.degree(v) == 1]
-
-
 def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
     """Rewrite the witness so every quotient-leaf bag is a singleton, at equal cost.
 
@@ -160,16 +153,14 @@ def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
     q = quotient(g, w)
     if q.n < 3:
         raise InputError("leaf normalization needs a quotient with at least 3 vertices")
-    bags = list(w.bags)
+    current = WitnessStructure.of(w.bags)
     while True:
-        current = WitnessStructure.of(bags)
-        fat_leaves = [b for b in _leaf_bags(g, current) if len(b) >= 2]
+        rep = {min(b): b for b in current.bags}
+        fat_leaves = [rep[v] for v in sorted(q.vertices) if q.degree(v) == 1 and len(rep[v]) >= 2]
         if not fat_leaves:
             return current
-        b = min(fat_leaves, key=min)
-        qg = quotient(g, current)
-        neighbor_rep = next(iter(qg.neighbors(min(b))))
-        b_next = current.bag_of(neighbor_rep)
+        b = fat_leaves[0]
+        b_next = rep[next(iter(q.neighbors(min(b))))]
 
         tree = _bag_spanning_tree(g, b)
         adjacent_to_next = sorted(
@@ -179,9 +170,9 @@ def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
         tree_leaves = sorted(v for v in b if _tree_degree(tree, v) <= 1 and v != u_star)
         v_star = tree_leaves[0]
 
-        bags = [x for x in bags if x != b and x != b_next]
-        bags.append(frozenset({v_star}))
-        bags.append((b | b_next) - {v_star})
+        bags = [x for x in current.bags if x != b and x != b_next]
+        current = WitnessStructure.of(bags + [frozenset({v_star}), (b | b_next) - {v_star}])
+        q = quotient(g, current)
 
 
 def _bag_spanning_tree(g: Graph, bag: frozenset[int]) -> frozenset[Edge]:

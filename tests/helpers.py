@@ -3,9 +3,11 @@ small connected graphs up to isomorphism.  Desk scale only."""
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
+from neartree.errors import InputError
 from neartree.graph import (
     Graph,
     Instance,
@@ -14,6 +16,7 @@ from neartree.graph import (
     contract_edges,
     edge,
     excess,
+    is_near_tree,
     reach,
 )
 from neartree.kernel import (
@@ -25,6 +28,7 @@ from neartree.kernel import (
     reduce_false_twins,
     reduce_long_paths,
 )
+from neartree.witness import WitnessCheck, WitnessStructure
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -134,6 +138,69 @@ def connected_partitions_brute(g: Graph) -> set[frozenset[frozenset[int]]]:
         return out
 
     return {frozenset(p) for p in rec(frozenset(verts))}
+
+
+def set_partitions(items: list[int]):
+    """Every partition of items into nonempty lists (Bell(len(items)) of them)."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in set_partitions(rest):
+        yield [[first], *p]
+        for i in range(len(p)):
+            yield [*p[:i], [first, *p[i]], *p[i + 1:]]
+
+
+# Graph-based witness checks, the reference for neartree.witness: the
+# partition test, each bag's connectivity by a BFS of the graph of edges
+# inside bags, and the quotient as a Graph tested with is_near_tree.
+
+def is_partition(g: Graph, w: WitnessStructure) -> bool:
+    seen: set[int] = set()
+    for b in w.bags:
+        if not b or (b & seen) or not b <= g.vertices:
+            return False
+        seen |= b
+    return seen == g.vertices
+
+
+def split_bag(g: Graph, w: WitnessStructure) -> frozenset[int] | None:
+    """The first bag that does not induce a connected subgraph, or None."""
+    bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
+    inside = Graph(g.vertices, frozenset(e for e in g.edges if bag_of[e[0]] == bag_of[e[1]]))
+    pieces = Counter(bag_of[min(c)] for c in inside.components())
+    return next((b for i, b in enumerate(w.bags) if pieces[i] > 1), None)
+
+
+def contract_bags(g: Graph, w: WitnessStructure) -> Graph:
+    rep: dict[int, int] = {}
+    for b in w.bags:
+        rep.update(dict.fromkeys(b, min(b)))
+    q_edges = {edge(rep[u], rep[v]) for u, v in g.edges if rep[u] != rep[v]}
+    return Graph(frozenset(rep.values()), frozenset(q_edges))
+
+
+def quotient_reference(g: Graph, w: WitnessStructure) -> Graph:
+    if not is_partition(g, w):
+        raise InputError("bags do not partition the vertex set")
+    bad = split_bag(g, w)
+    if bad is not None:
+        raise InputError(f"bag {sorted(bad)} does not induce a connected subgraph")
+    return contract_bags(g, w)
+
+
+def verify_witness_reference(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCheck:
+    cost = w.cost()
+    if not is_partition(g, w):
+        return WitnessCheck(False, cost, "not-partition")
+    if split_bag(g, w) is not None:
+        return WitnessCheck(False, cost, "disconnected-bag")
+    if not is_near_tree(contract_bags(g, w), ell):
+        return WitnessCheck(False, cost, "quotient-outside-class")
+    if cost > k:
+        return WitnessCheck(False, cost, "over-budget")
+    return WitnessCheck(True, cost, "ok")
 
 
 def _touching(adj: tuple[int, ...], masks) -> list[int]:

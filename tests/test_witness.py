@@ -4,10 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_edge_subsets, connected_graphs
+from helpers import (
+    all_edge_subsets,
+    connected_graphs,
+    quotient_reference,
+    set_partitions,
+    verify_witness_reference,
+)
 
 from neartree.errors import InputError
 from neartree.graph import (
+    Graph,
     analyze_connectivity,
     contract_edges,
     cycle_graph,
@@ -16,6 +23,7 @@ from neartree.graph import (
 )
 from neartree.witness import (
     WitnessStructure,
+    certify,
     normalize_leaves,
     quotient,
     solution_edges,
@@ -25,6 +33,18 @@ from neartree.witness import (
 
 C4 = cycle_graph([1, 2, 3, 4])
 P4 = path_graph([1, 2, 3, 4])
+
+
+def c6_chord() -> Graph:
+    """C6 with chord 1-4: two 4-cycles, excess 2, built fresh (no cached adjacency)."""
+    return Graph.build(range(1, 7), [*cycle_graph(range(1, 7)).edges, (1, 4)])
+
+
+class TestStructureOf:
+    def test_empty_bag_is_an_input_error(self):
+        for bags in ([[1], []], [[], [1]], [[]]):
+            with pytest.raises(InputError, match="witness bags must be nonempty"):
+                WitnessStructure.of(bags)
 
 
 class TestFromSolution:
@@ -196,3 +216,84 @@ def test_verify_accepts_any_component_partition(data):
     check = verify_witness(g, w, ell=g.m, k=n)  # ell = |E| always admits the quotient
     assert check.valid
     assert check.cost == sum(len(b) - 1 for b in w.bags)
+
+
+class TestMatchesGraphReference:
+    """The one-pass checks against the Graph-based reference in helpers:
+    the same quotient or the same InputError, and the same (valid, cost,
+    reason) from verify_witness at ell 0-2 and k on both sides of the cost
+    (at ell 0 alone where the bags fail: ell enters only after the bag checks)."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    def assert_same(self, g: Graph, w: WitnessStructure):
+        expected = self.outcome(quotient_reference, g, w)
+        assert self.outcome(quotient, g, w) == expected, w
+        cost = w.cost()
+        for ell in range(3) if isinstance(expected, Graph) else (0,):
+            for k in (cost - 1, cost):
+                expected_check = verify_witness_reference(g, w, ell, k)
+                assert verify_witness(g, w, ell, k) == expected_check, (w, ell, k)
+
+    def test_every_set_partition_of_small_connected_graphs(self):
+        for n in range(1, 7):
+            partitions = [WitnessStructure.of(p) for p in set_partitions(list(range(1, n + 1)))]
+            for g in connected_graphs(n):
+                for w in partitions:
+                    self.assert_same(g, w)
+
+    def test_a_disconnected_graph_and_the_empty_graph(self):
+        two_paths = Graph.build(range(1, 6), [(1, 2), (2, 3), (4, 5)])
+        for w in map(WitnessStructure.of, set_partitions([1, 2, 3, 4, 5])):
+            self.assert_same(two_paths, w)
+        empty = Graph(frozenset(), frozenset())
+        for w in (WitnessStructure(()), WitnessStructure((frozenset({1}),))):
+            self.assert_same(empty, w)
+
+    def test_structures_built_directly(self):
+        g = c6_chord()
+        bags = lambda *bs: WitnessStructure(tuple(map(frozenset, bs)))  # noqa: E731
+        cases = {
+            "overlapping": bags({1, 2, 3}, {3, 4}, {5}, {6}),
+            "missing vertex": bags({1, 2}, {3}, {4}, {5}),
+            "foreign vertex": bags({1, 2}, {3}, {4}, {5}, {6, 7}),
+            "empty bag": bags({1, 2, 3, 4, 5, 6}, set()),
+            "disconnected bag": bags({1, 3}, {2}, {4}, {5}, {6}),
+            "two split bags, out of order": bags({3, 5}, {1, 2}, {4, 6}),
+            "valid, out of order": bags({5, 6}, {1, 2, 3}, {4}),
+        }
+        for name, w in cases.items():
+            self.assert_same(g, w)
+        reasons = {name: verify_witness(g, w, 1, 9).reason for name, w in cases.items()}
+        assert reasons == {
+            "overlapping": "not-partition", "missing vertex": "not-partition",
+            "foreign vertex": "not-partition", "empty bag": "not-partition",
+            "disconnected bag": "disconnected-bag",
+            "two split bags, out of order": "disconnected-bag", "valid, out of order": "ok",
+        }
+        with pytest.raises(InputError, match=r"bag \[3, 5\] does not induce"):
+            quotient(g, cases["two split bags, out of order"])
+
+
+def test_checks_build_no_graph_adjacency_or_bfs(monkeypatch):
+    """Every witness check runs on the union-find alone."""
+    def refuse(*args):
+        raise AssertionError("a witness check used Graph.components or Graph.adjacency")
+
+    g = c6_chord()
+    monkeypatch.setattr(Graph, "components", refuse)
+    monkeypatch.setattr(Graph, "adjacency", property(refuse))
+    sol = certify(g, [(1, 2), (2, 3)], k=2, ell=1)
+    assert sol.witness == WitnessStructure.of([{1, 2, 3}, {4}, {5}, {6}])
+    assert witness_from_solution(g, [(4, 5)]) == WitnessStructure.of([{1}, {2}, {3}, {4, 5}, {6}])
+    assert quotient(g, sol.witness) == cycle_graph([1, 4, 5, 6])
+    split = WitnessStructure.of([{1, 3}, {2}, {4}, {5}, {6}])
+    singletons = WitnessStructure.of([{v} for v in g.vertices])
+    assert verify_witness(g, split, 1, 2).reason == "disconnected-bag"
+    assert verify_witness(g, singletons, 1, 2).reason == "quotient-outside-class"
+    assert verify_witness(g, sol.witness, 0, 2).reason == "quotient-outside-class"
