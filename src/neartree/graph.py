@@ -135,8 +135,10 @@ class MaskIndex:
     adj: tuple[int, ...]
 
     def mask(self, vs: Iterable[int]) -> int:
-        pos = {v: i for i, v in enumerate(self.verts)}
-        return sum(1 << pos[v] for v in set(vs))
+        vs, pos = set(vs), {v: i for i, v in enumerate(self.verts)}
+        if outside := vs - pos.keys():
+            raise InputError(f"vertex {min(outside)} is not in the graph")
+        return sum(1 << pos[v] for v in vs)
 
     def members(self, mask: int) -> frozenset[int]:
         return frozenset(self.verts[i] for i in bits(mask))

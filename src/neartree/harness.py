@@ -16,8 +16,8 @@ decision=not-found, which certifies nothing, unless the solver decided it
 before any coloring), 2 error.  A yes is checked in
 one place, `witness.certify`, which hands its verified witness on to be
 written; a failed check is an internal error (exit 2, no result line).
-Derand mode without a family file leaves the colorings of each block to the
-solver (`solver.DerandColorings`), which picks them as it scans the block.
+Exhaustive mode and derand mode without a family file run one solver mode,
+`solver.ExhaustiveColorings`, which takes no seed.
 """
 
 from __future__ import annotations
@@ -49,13 +49,7 @@ from .kernel import (
     replay,
 )
 from .oracle import exact_opt
-from .solver import (
-    DerandColorings,
-    ExhaustiveColorings,
-    FamilyColorings,
-    RandomColorings,
-    solve,
-)
+from .solver import ExhaustiveColorings, FamilyColorings, RandomColorings, solve
 from .witness import (
     ContractionSolution,
     WitnessStructure,
@@ -395,13 +389,11 @@ def run(cfg: RunConfig) -> int:
         g = parse_graph(_read(cfg.infile))
         if cfg.mode == "rand":
             mode = RandomColorings(cfg.seed, cfg.iters)
-        elif cfg.mode == "exhaustive":
-            mode = ExhaustiveColorings()
-        elif cfg.family_file:
+        elif cfg.mode == "derand" and cfg.family_file:
             fam = parse_family(_read(cfg.family_file))
             mode = FamilyColorings(fam.functions, fam.n)
         else:
-            mode = DerandColorings(cfg.seed)
+            mode = ExhaustiveColorings()
         sol = solve(Instance(g, cfg.k, cfg.ell), mode)
         certified = True
         if sol is None and isinstance(mode, (RandomColorings, FamilyColorings)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, comb
+from math import ceil, comb, inf
 
 from .errors import InputError
 from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, excess
@@ -168,8 +168,8 @@ def reduce_false_twins(instance: Instance) -> tuple[Instance, TwinDelete | None]
 # rule: shared d-neighborhood in the high-degree part (the lossy one)
 
 def lossy_degree(alpha: float) -> int:
-    if alpha <= 1:
-        raise InputError("the approximation factor must exceed 1")
+    if not 1 < alpha < inf:  # NaN fails both comparisons
+        raise InputError(f"the approximation factor must be finite and exceed 1 (got {alpha})")
     d = ceil(alpha / (alpha - 1))
     if d > MAX_LOSSY_DEGREE:
         raise InputError(f"alpha={alpha} needs d={d} > {MAX_LOSSY_DEGREE}; choose alpha further from 1")
@@ -253,6 +253,7 @@ def kernelize(instance: Instance, alpha: float) -> tuple[Instance, KernelTrace]:
     those decide: without a rule for degree-1 vertices `size_bound` does not
     hold for yes instances (a large tree with one triangle needs one
     contraction), so an undecided result above it stays undecided."""
+    lossy_degree(alpha)  # refuse a bad alpha before any step
     if not instance.graph.is_connected():
         return instance, KernelTrace((), "no")
     return _apply_rules(instance, alpha)

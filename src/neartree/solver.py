@@ -52,9 +52,9 @@ vertex its part's color.  So the scan takes every connected partition and
 offers each witness at its x.  It drops a prefix of parts once their cost
 floors pass the budget: 0 for a path (it may fall apart), else the shatter's
 exact cost.  Cost only grows along a partition and the budget only falls, so
-no dropped partition would have been refined.  Derand mode takes this scan
-for each block within EXHAUSTIVE_VERTEX_CAP, and a larger one the universal
-family for its size, built when first scanned.
+no dropped partition would have been refined.  Exhaustive mode takes this
+scan for each block within EXHAUSTIVE_VERTEX_CAP, and a larger one the
+seed-0 universal family for its size, built when first scanned.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .graph import (
 )
 from .witness import ContractionSolution, WitnessStructure, certify, quotient, solution_edges
 
-EXHAUSTIVE_VERTEX_CAP = 10
+EXHAUSTIVE_VERTEX_CAP = 10  # above it, exhaustive mode takes a universal family
 RANDOM_DEFAULT_CAP = 1 << 16  # default colorings per block; an explicit count is never capped
 
 
@@ -95,10 +95,16 @@ class RandomColorings:
     seed: int
     iterations: int | None = None  # None: `default_iterations`
 
+    def __post_init__(self):
+        if self.iterations is not None and self.iterations < 1:
+            raise InputError(f"random mode needs at least 1 coloring per block (got {self.iterations})")
+
 
 @dataclass(frozen=True)
 class ExhaustiveColorings:
-    pass
+    """The complete mode; see `_mode_partitions`."""
+    # (n, k, ell) -> FamilyColorings, so blocks of one size share one build
+    families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,7 @@ class FamilyColorings:
         return self.by_size[n]
 
 
-@dataclass(frozen=True)
-class DerandColorings:
-    seed: int  # seeds the family of a block above the cap; see `_mode_partitions`
-    # (n, k, ell) -> FamilyColorings, so blocks of one size share one build
-    families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-
-Mode = RandomColorings | ExhaustiveColorings | FamilyColorings | DerandColorings
+Mode = RandomColorings | ExhaustiveColorings | FamilyColorings
 
 
 def default_iterations(n: int, k: int, ell: int) -> int:
@@ -375,23 +374,20 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
 
 def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
     """Component partitions (masks) of the block in the order the mode
-    proposes them.  Exhaustive mode yields every connected partition, each
-    the components of a coloring within the palette of its own witness's
-    excess (see the module docstring), and cuts prefixes by `charge`.
-    Family functions color the block's vertices by rank, so the family's
-    domain bounds the block size, not the vertex ids."""
+    proposes them.  Exhaustive mode yields every connected partition of a
+    block within EXHAUSTIVE_VERTEX_CAP, each the components of a coloring
+    within the palette of its own witness's excess (see the module
+    docstring), cut by `charge`; a larger block, where the scan explodes if
+    dense, takes the seed-0 universal family for its size.  Family functions
+    color the block's vertices by rank, so the domain bounds the block size."""
     n = len(adj)
-    if isinstance(mode, DerandColorings):  # the scan covers every coloring within its cap
-        if n > EXHAUSTIVE_VERTEX_CAP and (n, k, ell) not in mode.families:
-            mode.families[n, k, ell] = FamilyColorings(
-                coloring_family(n, k, ell, seed=mode.seed).functions, n)
-        mode = ExhaustiveColorings() if n <= EXHAUSTIVE_VERTEX_CAP else mode.families[n, k, ell]
     if isinstance(mode, ExhaustiveColorings):
-        if n > EXHAUSTIVE_VERTEX_CAP:
-            raise SizeCapError(
-                f"exhaustive mode is capped at {EXHAUSTIVE_VERTEX_CAP} vertices (got {n})")
-        yield from _connected_partitions((1 << n) - 1, adj, {}, charge)
-        return
+        if n <= EXHAUSTIVE_VERTEX_CAP:
+            yield from _connected_partitions((1 << n) - 1, adj, {}, charge)
+            return
+        if (n, k, ell) not in mode.families:
+            mode.families[n, k, ell] = FamilyColorings(coloring_family(n, k, ell).functions, n)
+        mode = mode.families[n, k, ell]
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
         rng = random.Random(mode.seed)

@@ -131,3 +131,9 @@ class TestShatter:
     def test_budget_respected(self):
         g = cycle_graph([1, 2, 3, 4, 5])
         assert min_shatter(g, {2, 3, 4}, budget=2) is None
+
+    def test_foreign_vertex_is_an_input_error(self):
+        g = cycle_graph([1, 2, 3, 4, 5])
+        for call in (lambda: min_shatter(g, {1, 99}, 2), lambda: boundary(g, {99})):
+            with pytest.raises(InputError, match="vertex 99 is not in the graph"):
+                call()

@@ -213,6 +213,20 @@ class TestCli:
         assert "result decision=yes cost=2 mode=exact" in printed
         assert parse_witness(out.read_text()).cost() == 2
 
+    def test_kernel_refuses_an_alpha_that_is_not_a_finite_number_above_one(self, tmp_path, capsys):
+        g = self._write_c4(tmp_path)
+        for alpha in ("nan", "inf", "-inf", "1"):
+            assert main(["--mode", "kernel", f"--alpha={alpha}", "--k", "1", "--in", str(g)]) == 2
+            assert capsys.readouterr() == ("", "error: the approximation factor must be finite "
+                                               f"and exceed 1 (got {float(alpha)})\n"), alpha
+
+    def test_rand_refuses_an_iteration_count_below_one(self, tmp_path, capsys):
+        g = self._write_c4(tmp_path)
+        for iters in ("0", "-3"):
+            assert main(["--mode", "rand", "--k", "1", "--iters", iters, "--in", str(g)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: random mode needs at least 1 coloring per block (got {iters})\n")
+
     def test_exhaustive_no(self, tmp_path, capsys):
         g = self._write_c4(tmp_path)
         code = main(["--mode", "exhaustive", "--k", "1", "--ell", "0", "--in", str(g)])
@@ -643,6 +657,41 @@ class TestCli:
                     assert printed[0] == printed[1], (seed, k, ell, printed)
                     yes += printed[0][0] == 0
         assert yes > 0
+
+    def test_exhaustive_and_derand_agree_above_the_cap(self, tmp_path, capsys, monkeypatch):
+        # one block above the scan's cap each, so both modes scan it with the
+        # seed-0 family: K2,9 with its hub edge is a yes at (1, 0), C12 with
+        # chord 1-3 a certified no at (2, 0).  Both print the same line
+        # (mode= aside) and witness, and --seed changes neither
+        import neartree.solver as solver_module
+
+        builds = []
+
+        def counted(n, k, ell, seed=0):
+            builds.append((n, k, ell, seed))
+            return coloring_family(n, k, ell, seed=seed)
+
+        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        k29_hub = Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 12)])
+        c12_chord = Graph.build(range(1, 13), list(cycle_graph(range(1, 13)).edges) + [(1, 3)])
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        for g, k, code, line in ((k29_hub, 1, 0, "result decision=yes cost=1 edges=1-2\n"),
+                                 (c12_chord, 2, 1, "result decision=no cost=3\n")):
+            src.write_text(serialize_graph(g))
+            witnesses = set()
+            for mode in ("exhaustive", "derand"):
+                for seed in ("0", "7"):
+                    builds.clear()
+                    assert main(["--mode", mode, "--k", str(k), "--ell", "0", "--in", str(src),
+                                 "--out", str(out), "--seed", seed]) == code, (g.n, mode, seed)
+                    printed = capsys.readouterr()
+                    assert printed.err == "" and builds == [(g.n, k, 0, 0)], (g.n, mode, seed)
+                    assert printed.out.replace(f" mode={mode} seed={seed}", "") == line
+                    if code == 0:
+                        witnesses.add(out.read_text())
+                        out.unlink()
+                    assert not out.exists()
+            assert len(witnesses) == (1 if code == 0 else 0), witnesses
 
     def test_large_tree_with_chorded_cycles(self, tmp_path, capsys):
         # a 2,000-vertex random tree carrying a 6-, a 7- and an 8-cycle, each

@@ -28,7 +28,6 @@ from neartree.solver import (
     SHATTER,
     ExhaustiveColorings,
     FamilyColorings,
-    DerandColorings,
     RandomColorings,
     _block_profile,
     _charge,
@@ -104,6 +103,11 @@ class TestClassification:
 
     def test_singleton_is_trivial(self):
         assert classify_component(C5, frozenset({3}), []).kind == ALL_SINGLETONS
+
+    def test_foreign_vertex_is_an_input_error(self):
+        for x, parts in ((frozenset({99}), []), (frozenset({3}), [frozenset({4, 99})])):
+            with pytest.raises(InputError, match="vertex 99 is not in the graph"):
+                classify_component(C5, x, parts)
 
 
 class TestRefine:
@@ -271,9 +275,8 @@ class TestSolve:
                 for ell in range(0, 3):
                     for k in range(0, 4):
                         want = oracle_cache.decide(g, k, ell)
-                        for mode in (ExhaustiveColorings(), DerandColorings(0)):
-                            got = solve(Instance(g, k, ell), mode)
-                            assert (got is not None) == want, (sorted(g.edges), k, ell, mode)
+                        got = solve(Instance(g, k, ell), ExhaustiveColorings())
+                        assert (got is not None) == want, (sorted(g.edges), k, ell)
 
     def test_matches_oracle_on_sample_of_eight_vertex_graphs(self, oracle_cache):
         import random
@@ -383,8 +386,9 @@ class TestFamilyMode:
 
 class TestDerandMode:
     def test_blocks_of_one_size_share_one_family_build(self, monkeypatch):
-        # two K2,11 blocks with their hub edge, sharing vertex 1: both are
-        # scanned with the 13-vertex family at (k, ell) = (2, 0)
+        # two K2,11 blocks with their hub edge, sharing vertex 1: above the
+        # scan's cap, exhaustive mode scans both with one 13-vertex family
+        # at (k, ell) = (2, 0)
         import neartree.solver as solver_module
 
         builds = []
@@ -396,7 +400,7 @@ class TestDerandMode:
         monkeypatch.setattr(solver_module, "coloring_family", counted)
         edges = [(1, 2), (1, 14)] + [(h, v) for h in (1, 2) for v in range(3, 14)]
         edges += [(h, v) for h in (1, 14) for v in range(15, 26)]
-        sol = solve(Instance(Graph.build(range(1, 26), edges), 2, 0), DerandColorings(0))
+        sol = solve(Instance(Graph.build(range(1, 26), edges), 2, 0), ExhaustiveColorings())
         assert sol is not None and sol.edges == {(1, 2), (1, 14)}
         assert builds == [(13, 2, 0)]
 
@@ -499,7 +503,7 @@ class TestShortCycleFloor:
         # C6 with chord 1-4 is two 4-cycles: at (2, 1) its only improving
         # witness costs g - 2 = 2, the whole budget, so a floor that asked
         # for a cycle of at most budget + 1 edges would skip the block
-        for mode in (ExhaustiveColorings(), DerandColorings(0), RandomColorings(1, 50)):
+        for mode in (ExhaustiveColorings(), RandomColorings(1, 50)):
             sol = solve(Instance(C6_CHORD, 2, 1), mode)
             assert sol is not None and sol.cost == 2, mode
 
