@@ -331,36 +331,14 @@ def analyze_connectivity(g: Graph) -> ConnectivityReport:
     return ConnectivityReport(comps, cuts, two)
 
 
-def _spanning_tree_edges(g: Graph) -> tuple[set[Edge], dict[int, int]]:
-    """BFS spanning tree from the smallest vertex, and each vertex's side (1 or
-    2) of the tree's bipartition; g must be connected."""
-    root = min(g.vertices)
-    side = {root: 1}
-    tree: set[Edge] = set()
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.adjacency[x]):
-            if y not in side:
-                side[y] = 3 - side[x]
-                tree.add(edge(x, y))
-                queue.append(y)
-    return tree, side
-
-
 def _degeneracy_greedy_colors(g: Graph, first_color: int) -> dict[int, int]:
     """Proper coloring by smallest-last (degeneracy) order, palette starting at first_color."""
-    remaining = dict(g.adjacency)
-    degs = {v: len(ns) for v, ns in remaining.items()}
     order: list[int] = []
-    alive = set(remaining)
+    alive = set(g.vertices)
     while alive:
-        v = min(alive, key=lambda x: (degs[x], x))
+        v = min(alive, key=lambda x: (len(g.adjacency[x] & alive), x))
         order.append(v)
         alive.remove(v)
-        for y in remaining[v]:
-            if y in alive:
-                degs[y] -= 1
     colors: dict[int, int] = {}
     for v in reversed(order):
         used = {colors[y] for y in g.adjacency[v] if y in colors}
@@ -380,22 +358,26 @@ def palette_size(ell: int) -> int:
 def near_tree_coloring(g: Graph, ell: int) -> dict[int, int]:
     """Proper coloring of a near-tree using at most 2*ceil(sqrt(ell)) + 2 colors.
 
-    Construction: fix a spanning tree; the at most ell excess edges have at
-    most 2*ell endpoints.  The subgraph induced on those endpoints is colored
-    greedily in degeneracy order with colors 3, 4, ...; every edge among the
-    other vertices is a tree edge, so they get colors 1 and 2 by their side
-    of the tree's bipartition.  The degeneracy of any induced subgraph here
-    is at most (1 + sqrt(1 + 8*ell)) / 2, which keeps the endpoint palette
-    within 2*ceil(sqrt(ell)) for every ell >= 1.
+    Construction: color each vertex 1 or 2 by the parity of its breadth-first
+    layer from the smallest vertex.  An edge joins layers at most one apart,
+    so only an edge inside one layer joins two vertices of the same color;
+    no such edge is in the search tree, so there are at most ell of them,
+    with at most 2*ell endpoints.  The subgraph induced on those endpoints is
+    colored greedily in degeneracy order with colors 3, 4, ....  The
+    degeneracy of any induced subgraph here is at most
+    (1 + sqrt(1 + 8*ell)) / 2, which keeps the endpoint palette within
+    2*ceil(sqrt(ell)) for every ell >= 1.
     """
     if not is_near_tree(g, ell):
         raise InputError("graph is not within the stated excess of a tree")
     budget = palette_size(ell)
-    tree, side = _spanning_tree_edges(g)
-    extra = sorted(g.edges - tree)
-    endpoints = frozenset(v for e in extra for v in e)
-
-    coloring = {v: s for v, s in side.items() if v not in endpoints}
+    idx = mask_index(g)
+    layers, seen = [1], 1  # bit 0 is the smallest vertex
+    while layers[-1]:
+        layers.append(reach(idx.adj, layers[-1]) & ~seen)
+        seen |= layers[-1]
+    coloring = {idx.verts[i]: 1 + d % 2 for d, layer in enumerate(layers) for i in bits(layer)}
+    endpoints = {idx.verts[i] for layer in layers for i in bits(layer) if idx.adj[i] & layer}
     if endpoints:
         coloring.update(_degeneracy_greedy_colors(g.subgraph(endpoints), 3))
 

@@ -64,11 +64,11 @@ DESK_VERTEX_CAP = 64
 # ---------------------------------------------------------------------------
 # graph text format
 
-def _records(text: str, comment: str = "c"):
+def _records(text: str):
     """(line number, fields) of each line that is neither blank nor a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith(comment):
+        if line and not line.startswith("c"):
             yield lineno, line.split()
 
 
@@ -171,7 +171,7 @@ def serialize_family(fam: FunctionFamily) -> str:
 def parse_family(text: str) -> FunctionFamily:
     header = None
     funcs = []
-    for lineno, parts in _records(text, comment="c "):
+    for lineno, parts in _records(text):
         if parts[0] == "family":
             if header is not None:
                 raise ParseError("duplicate family header", lineno)

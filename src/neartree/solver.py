@@ -150,7 +150,8 @@ def default_iterations(n: int, k: int, ell: int) -> int:
 
 def _classes(colors) -> tuple[int, ...]:
     """The class masks of a coloring listed in index order, by lowest vertex:
-    the one form of a coloring the scan deduplicates and refines."""
+    the one form of a coloring the scan refines (a family's forms are
+    deduplicated per block size, random draws only by their components)."""
     classes: dict[int, int] = {}
     for i, c in enumerate(colors):
         classes[c] = classes.get(c, 0) | 1 << i
@@ -386,13 +387,19 @@ def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
             yield from _connected_partitions((1 << n) - 1, adj, {}, charge)
             return
         if (n, k, ell) not in mode.families:
-            mode.families[n, k, ell] = FamilyColorings(coloring_family(n, k, ell).functions, n)
+            try:
+                functions = coloring_family(n, k, ell).functions
+            except SizeCapError as exc:
+                raise SizeCapError(f"a block of {n} vertices is above the exhaustive scan's cap of "
+                                   f"{EXHAUSTIVE_VERTEX_CAP}, and its universal family is refused: "
+                                   f"{exc}") from None
+            mode.families[n, k, ell] = FamilyColorings(functions, n)
         mode = mode.families[n, k, ell]
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
         rng = random.Random(mode.seed)
         iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
-        classes = _distinct(_classes([rng.randint(1, q) for _ in range(n)]) for _ in range(iters))
+        classes = (_classes([rng.randint(1, q) for _ in range(n)]) for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
         # extra colors past this palette only split components further,
         # which is sound (re-verified)

@@ -13,6 +13,7 @@ adjacency map or breadth-first search built per check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -145,39 +146,23 @@ def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
     """Rewrite the witness so every quotient-leaf bag is a singleton, at equal cost.
 
     Peeling step: take a leaf bag B with |B| >= 2 and its unique neighbor bag
-    B'; fix a spanning tree of G[B]; pick a vertex u* of B adjacent to B' and
-    a spanning-tree leaf v* != u*; move B - {v*} into B'.  The quotient is
-    unchanged, one more leaf bag is a singleton, and the cost is preserved.
-    Every choice point takes the lowest vertex id.
+    B'; fix a spanning tree of G[B] (the union-find over B's sorted edges);
+    pick the lowest vertex u* of B adjacent to B' and the lowest tree leaf
+    v* != u*; move B - {v*} into B'.  The cost is preserved, and the
+    quotient, its leaves and their hubs are unchanged.  B touches only B',
+    and a peel adds to B' only vertices of another leaf bag, so u* and v*
+    do not depend on the order of the peels: one pass over the leaves of
+    the quotient, built once, peels them all.
     """
     q = quotient(g, w)
     if q.n < 3:
         raise InputError("leaf normalization needs a quotient with at least 3 vertices")
-    current = WitnessStructure.of(w.bags)
-    while True:
-        rep = {min(b): b for b in current.bags}
-        fat_leaves = [rep[v] for v in sorted(q.vertices) if q.degree(v) == 1 and len(rep[v]) >= 2]
-        if not fat_leaves:
-            return current
-        b = fat_leaves[0]
-        b_next = rep[next(iter(q.neighbors(min(b))))]
-
-        tree = _bag_spanning_tree(g, b)
-        adjacent_to_next = sorted(
-            v for v in b if any(x in b_next for x in g.neighbors(v))
-        )
-        u_star = adjacent_to_next[0]
-        tree_leaves = sorted(v for v in b if _tree_degree(tree, v) <= 1 and v != u_star)
-        v_star = tree_leaves[0]
-
-        bags = [x for x in current.bags if x != b and x != b_next]
-        current = WitnessStructure.of(bags + [frozenset({v_star}), (b | b_next) - {v_star}])
-        q = quotient(g, current)
-
-
-def _bag_spanning_tree(g: Graph, bag: frozenset[int]) -> frozenset[Edge]:
-    return solution_edges(g.subgraph(bag), WitnessStructure((bag,)))
-
-
-def _tree_degree(tree: frozenset[Edge], v: int) -> int:
-    return sum(1 for e in tree if v in e)
+    bag = {min(b): b for b in w.bags}
+    for leaf in sorted(v for v in q.vertices if q.degree(v) == 1 and len(bag[v]) >= 2):
+        b, hub = bag[leaf], next(iter(q.neighbors(leaf)))
+        u_star = min(v for v in b if g.adjacency[v] & bag[hub])
+        inner = sorted((v, x) for v in b for x in g.adjacency[v] & b if v < x)
+        tree_degree = Counter(v for e in spanning_forest(b, inner)[0] for v in e)
+        v_star = min(v for v in b if tree_degree[v] == 1 and v != u_star)
+        bag[leaf], bag[hub] = frozenset({v_star}), bag[hub] | (b - {v_star})
+    return WitnessStructure.of(bag.values())

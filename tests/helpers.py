@@ -28,7 +28,7 @@ from neartree.kernel import (
     reduce_false_twins,
     reduce_long_paths,
 )
-from neartree.witness import WitnessCheck, WitnessStructure
+from neartree.witness import WitnessCheck, WitnessStructure, quotient, solution_edges
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -201,6 +201,43 @@ def verify_witness_reference(g: Graph, w: WitnessStructure, ell: int, k: int) ->
     if cost > k:
         return WitnessCheck(False, cost, "over-budget")
     return WitnessCheck(True, cost, "ok")
+
+
+def normalize_leaves_reference(g: Graph, w: WitnessStructure) -> WitnessStructure:
+    """The peel loop of `normalize_leaves` one peel at a time: each peel
+    takes the lowest fat leaf of the current quotient, fixes its bag's tree
+    through `solution_edges` on the bag's subgraph, and rebuilds the quotient."""
+    q = quotient(g, w)
+    if q.n < 3:
+        raise InputError("leaf normalization needs a quotient with at least 3 vertices")
+    current = WitnessStructure.of(w.bags)
+    while True:
+        rep = {min(b): b for b in current.bags}
+        fat_leaves = [rep[v] for v in sorted(q.vertices) if q.degree(v) == 1 and len(rep[v]) >= 2]
+        if not fat_leaves:
+            return current
+        b = fat_leaves[0]
+        b_next = rep[next(iter(q.neighbors(min(b))))]
+
+        tree = _bag_spanning_tree(g, b)
+        adjacent_to_next = sorted(
+            v for v in b if any(x in b_next for x in g.neighbors(v))
+        )
+        u_star = adjacent_to_next[0]
+        tree_leaves = sorted(v for v in b if _tree_degree(tree, v) <= 1 and v != u_star)
+        v_star = tree_leaves[0]
+
+        bags = [x for x in current.bags if x != b and x != b_next]
+        current = WitnessStructure.of(bags + [frozenset({v_star}), (b | b_next) - {v_star}])
+        q = quotient(g, current)
+
+
+def _bag_spanning_tree(g: Graph, bag: frozenset[int]) -> frozenset[tuple[int, int]]:
+    return solution_edges(g.subgraph(bag), WitnessStructure((bag,)))
+
+
+def _tree_degree(tree: frozenset[tuple[int, int]], v: int) -> int:
+    return sum(1 for e in tree if v in e)
 
 
 def _touching(adj: tuple[int, ...], masks) -> list[int]:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -160,6 +161,25 @@ class TestColoring:
                 assert set(colors) == set(g.vertices)
                 assert all(colors[u] != colors[v] for u, v in g.edges)
                 assert len(set(colors.values())) <= palette_size(ell)
+
+    def test_proper_and_within_budget_on_deep_near_trees(self):
+        # seeded trees of 50-400 vertices, each vertex hung on one of the
+        # last few before it (deep breadth-first layers), shuffled ids, plus
+        # ell = 0-8 extra edges
+        rng = random.Random(20)
+        for _ in range(60):
+            n, ell = rng.randint(50, 400), rng.randint(0, 8)
+            reach_back = rng.choice([1, 3, 10, n])
+            ids = rng.sample(range(1, 10 * n), n)
+            edges = {tuple(sorted((ids[i], ids[rng.randrange(max(0, i - reach_back), i)])))
+                     for i in range(1, n)}
+            while len(edges) < n - 1 + ell:
+                edges.add(tuple(sorted(rng.sample(ids, 2))))
+            g = Graph.build(ids, edges)
+            colors = near_tree_coloring(g, ell)
+            assert set(colors) == set(g.vertices)
+            assert all(colors[u] != colors[v] for u, v in g.edges)
+            assert len(set(colors.values())) <= palette_size(ell)
 
 
 class TestClassClosure:

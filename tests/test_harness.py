@@ -103,9 +103,12 @@ class TestOtherFormats:
 
     def test_family_round_trip(self):
         fam = build_interval_splitter(5, 2, 2)
-        back = parse_family(serialize_family(fam))
-        assert back.functions == fam.functions
-        assert (back.n, back.q, back.kind, back.k) == (fam.n, fam.q, fam.kind, fam.k)
+        header, body = serialize_family(fam).split("\n", 1)
+        # a bare "c" line is a comment here, as in every other format
+        for text in (serialize_family(fam), f"c\n{header}\nc\n{body}"):
+            back = parse_family(text)
+            assert back.functions == fam.functions
+            assert (back.n, back.q, back.kind, back.k) == (fam.n, fam.q, fam.kind, fam.k)
 
     def test_trace_round_trip(self):
         inst = Instance(cycle_graph(range(1, 11)), 1, 0)
@@ -784,6 +787,13 @@ class TestCli:
             else:
                 assert proc.stdout.startswith("result decision="), (mode, proc.stdout)
         assert "give --iters" in errors["rand"]
+        # exhaustive and derand mode take a universal family for the block,
+        # which GREEDY_CAP refuses: one error line that names the block
+        for mode in ("exhaustive", "derand"):
+            assert errors[mode].count("\n") == 1 and "Traceback" not in errors[mode], mode
+            assert errors[mode].startswith("error: a block of 30 vertices is above the exhaustive "
+                                           "scan's cap of 10, and its universal family is "
+                                           "refused: "), (mode, errors[mode])
         # an explicit count is never capped
         assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(src),
                      "--iters", "5"]) == 1

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from helpers import (
     all_edge_subsets,
     connected_graphs,
+    normalize_leaves_reference,
     quotient_reference,
     set_partitions,
+    split_bag,
     verify_witness_reference,
 )
 
@@ -185,6 +187,32 @@ class TestNormalizeLeaves:
                     assert after.valid == before.valid
                     q_before, q_after = quotient(g, w), quotient(g, out)
                     assert (q_after.n, q_after.m) == (q_before.n, q_before.m)
+
+    def test_one_pass_matches_the_peel_loop_on_every_witness(self):
+        # every partition into connected bags with a quotient of >= 3
+        # vertices, on every connected graph of 3-6 vertices
+        count = 0
+        for n in range(3, 7):
+            for g in connected_graphs(n):
+                for parts in set_partitions(sorted(g.vertices)):
+                    w = WitnessStructure.of(parts)
+                    if split_bag(g, w) is not None or len(w.bags) < 3:
+                        continue
+                    count += 1
+                    q = quotient(g, w)
+                    out = normalize_leaves(g, w)
+                    assert out == normalize_leaves_reference(g, w), (sorted(g.edges), parts)
+                    assert out.cost() == w.cost()
+                    # each old bag meets exactly one new bag by containment
+                    rename = {min(b): [min(c) for c in out.bags if c <= b or b <= c]
+                              for b in w.bags}
+                    assert all(len(r) == 1 for r in rename.values())
+                    q_out = quotient(g, out)
+                    assert q_out == Graph.build([r[0] for r in rename.values()],
+                                                [(rename[u][0], rename[v][0]) for u, v in q.edges])
+                    bag = {min(b): b for b in out.bags}
+                    assert all(len(bag[v]) == 1 for v in q_out.vertices if q_out.degree(v) == 1)
+        assert count == 8389
 
 
 class TestCutVertexBags:
