@@ -19,7 +19,7 @@ other twin group changes, so the rule keeps picking the same one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import ceil, comb, inf
 
 from .errors import InputError
@@ -271,30 +271,32 @@ def replay(original: Instance, trace: KernelTrace,
            ) -> tuple[list[Instance], list[MergeMap | None]]:
     """Forward application of the trace.  Returns every stage, source first,
     and for each step the merge map of its contraction (None for a twin
-    deletion), which `lift_solution` inverts.
+    deletion), which `lift_solution` inverts.  A run of twin deletions is one
+    rebuild, so each of its steps has the stage after the whole run.
 
     Raises InputError when a step does not fit the graph it is applied to,
     which is the trace/instance-mismatch guard for lifting.
     """
     stages = [original]
     merges: list[MergeMap | None] = []
-    cur = original
-    for step in trace.steps:
-        g, k, ell = cur.graph, cur.k, cur.ell
-        if isinstance(step, TwinDelete):
-            if step.vertex not in g.vertices:
-                raise InputError(f"trace mismatch: vertex {step.vertex} absent")
-            cur = Instance(g.without([step.vertex]), k, ell)
-            merges.append(None)
-        elif isinstance(step, (LongPathContract, CommonNbrContract)):
-            contracted, merge = contract_edges(g, step.contracted)  # raises on absent edges
-            if isinstance(step, CommonNbrContract):
-                k -= step.d - 1
-            cur = Instance(contracted, k, ell)
+    for twins, run in groupby(trace.steps, lambda step: isinstance(step, TwinDelete)):
+        g, k, ell = stages[-1].graph, stages[-1].k, stages[-1].ell
+        if twins:
+            gone: set[int] = set()
+            for step in run:
+                if step.vertex not in g.vertices or step.vertex in gone:
+                    raise InputError(f"trace mismatch: vertex {step.vertex} absent")
+                gone.add(step.vertex)
+            stages += [Instance(g.without(gone), k, ell)] * len(gone)
+            merges += [None] * len(gone)
+            continue
+        for step in run:
+            if not isinstance(step, (LongPathContract, CommonNbrContract)):
+                raise InputError(f"unknown step {step!r}")
+            g, merge = contract_edges(g, step.contracted)  # raises on absent edges
+            k -= step.d - 1 if isinstance(step, CommonNbrContract) else 0
+            stages.append(Instance(g, k, ell))
             merges.append(merge)
-        else:
-            raise InputError(f"unknown step {step!r}")
-        stages.append(cur)
     return stages, merges
 
 

@@ -19,18 +19,20 @@ cost passes the budget.  Contracting all but one vertex of a block always
 reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
 at least 3 vertices, the case the coloring argument covers.
 
-A short-cycle floor settles a block before its scan, in every mode and at
-any size.  A witness of cost c has n_B - c bags; its quotient drops below
-excess(B) only if it loses more than c edges, so only if a bag holds an edge
-off its spanning tree or two edges join the same two bags.  Either closes a
-cycle of at most c + 2 edges: the tree paths inside the bags (at most c
-edges) and at most two more.  So with no cycle of at most budget + 2 edges
-no witness within the scan's budget beats the cost-0 all-singleton offer,
-and the profile is the two witnesses offered before the scan.
+Only vertices on short cycles are scanned, in every mode and at any size.
+Lemma: in a witness of least cost among those of cost <= c and quotient
+excess <= e, every vertex x of a bag X of two or more lies on a cycle of at
+most c + 2 edges.  Splitting X into {x} and the components of G[X] - x
+lowers the cost, keeps every bag connected, and raises the excess only where
+another bag Y touches two new parts, closing a cycle through x of at most
+(|X| - 1) + (|Y| - 1) + 2 <= c + 2 edges.  So `_block_profile` scans only
+the live vertices, those on a cycle of at most budget + 2 edges, found once
+at the budget its scan starts with (a smaller one gives a subset); every
+other vertex is a singleton part, and a block with none is not scanned.
 
-Every mode scans a block on one bit-mask index built once per block
-(`graph.MaskIndex`) in shape order (see `solve`), so the scan follows the
-graph's shape, not its ids.  A coloring enters as its color classes
+Every mode scans a block on one bit-mask index (`graph.MaskIndex`), its
+live vertices first, each group in shape order (see `solve`), so the scan
+follows the graph's shape, not its ids.  A coloring enters as its color classes
 (`_classes`), split into components by one mask flood; the shatter is
 `cvc.shatter_core` on the same masks, and the quotient's excess comes from
 bag reach masks.  A part's shape (a path, or shattered) is worked out once
@@ -49,12 +51,14 @@ cover of the part); contracting connected sets never raises cycle rank, so
 the graph H of touching parts has excess <= x, and palette_size(x) colors
 color H properly (the coloring lemma, `graph.near_tree_coloring`): give each
 vertex its part's color.  So the scan takes every connected partition and
-offers each witness at its x.  It drops a prefix of parts once their cost
-floors pass the budget: 0 for a path (it may fall apart), else the shatter's
-exact cost.  Cost only grows along a partition and the budget only falls, so
-no dropped partition would have been refined.  Exhaustive mode takes this
-scan for each block within EXHAUSTIVE_VERTEX_CAP, and a larger one the
-seed-0 universal family for its size, built when first scanned.
+offers each witness at its x; the coloring whose components are a cheapest
+witness's bags keeps each vertex off the live set alone, by the lemma.  It
+drops a prefix of parts once their cost floors pass the budget: 0 for a
+path (it may fall apart), else the shatter's exact cost.  Cost only grows
+along a partition and the budget only falls, so no dropped partition would
+have been refined.  Exhaustive mode takes this scan for each block of at
+most EXHAUSTIVE_VERTEX_CAP live vertices, and a larger one the seed-0
+universal family for that count, built when first scanned.
 """
 
 from __future__ import annotations
@@ -112,14 +116,14 @@ class FamilyColorings:
     """Iterate an explicit list of colorings, e.g. a universal family.
 
     Each function colors one block at a time by rank: position i colors the
-    i-th vertex of the block in shape order (see `solve`).  A family
-    universal for t-subsets of [domain] realizes every assignment on every
+    i-th live vertex of the block in shape order (see `_block_profile`), each
+    other vertex a part of its own.  A family universal for t-subsets of [domain] realizes every assignment on every
     subset of at most t positions of any prefix, so it serves every block of
-    at most `domain` vertices, in whatever order they are listed.
+    at most `domain` live vertices, in whatever order they are listed.
     """
 
     functions: tuple[tuple[int, ...], ...]
-    domain: int  # functions map [domain] -> colors; blocks may have <= domain vertices
+    domain: int  # functions map [domain] -> colors, position i to the i-th live vertex
     by_size: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def distinct(self, n: int) -> list[tuple[int, ...]]:
@@ -134,14 +138,14 @@ Mode = RandomColorings | ExhaustiveColorings | FamilyColorings
 
 def default_iterations(n: int, k: int, ell: int) -> int:
     """min((2*ceil(sqrt(ell)) + 2)^(6k + 8*ell), 10 * q^n) for a block of n
-    vertices; both are fall-backs, explicit iteration counts are preferred.
-    A default above RANDOM_DEFAULT_CAP raises SizeCapError instead of
-    starting a loop that would not end at desk scale."""
+    live vertices; both are fall-backs, explicit counts are preferred.  A
+    default above RANDOM_DEFAULT_CAP raises SizeCapError instead of starting
+    a loop that would not end at desk scale."""
     q = palette_size(ell)
     iters = min(q ** (6 * k + 8 * ell), 10 * q ** n)
     if iters > RANDOM_DEFAULT_CAP:
-        raise SizeCapError(f"random mode's default of {iters} colorings for a block of {n} "
-                           f"vertices passes the cap {RANDOM_DEFAULT_CAP}; give --iters")
+        raise SizeCapError(f"random mode's default of {iters} colorings for {n} vertices on "
+                           f"short cycles passes the cap {RANDOM_DEFAULT_CAP}; give --iters")
     return iters
 
 
@@ -373,58 +377,59 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
 # ---------------------------------------------------------------------------
 # one block: the witnesses a mode proposes, kept as a cost profile
 
-def _mode_partitions(adj: tuple[int, ...], k: int, ell: int, mode, charge):
-    """Component partitions (masks) of the block in the order the mode
-    proposes them.  Exhaustive mode yields every connected partition of a
-    block within EXHAUSTIVE_VERTEX_CAP, each the components of a coloring
-    within the palette of its own witness's excess (see the module
-    docstring), cut by `charge`; a larger block, where the scan explodes if
-    dense, takes the seed-0 universal family for its size.  Family functions
-    color the block's vertices by rank, so the domain bounds the block size."""
-    n = len(adj)
+def _mode_partitions(adj: tuple[int, ...], t: int, k: int, ell: int, mode, charge):
+    """Partitions (masks) of the block's t live vertices, the first t of its
+    index, into components, in the order the mode proposes them.  Exhaustive
+    mode yields every connected partition when t is within
+    EXHAUSTIVE_VERTEX_CAP, each the components of a coloring within the
+    palette of its own witness's excess (see the module docstring), cut by
+    `charge`; above it, where the scan explodes if dense, it takes the
+    seed-0 universal family for t.  Family functions color the live vertices
+    by rank, so the domain bounds t."""
     if isinstance(mode, ExhaustiveColorings):
-        if n <= EXHAUSTIVE_VERTEX_CAP:
-            yield from _connected_partitions((1 << n) - 1, adj, {}, charge)
+        if t <= EXHAUSTIVE_VERTEX_CAP:
+            yield from _connected_partitions((1 << t) - 1, adj, {}, charge)
             return
-        if (n, k, ell) not in mode.families:
+        if (t, k, ell) not in mode.families:
             try:
-                functions = coloring_family(n, k, ell).functions
+                functions = coloring_family(t, k, ell).functions
             except SizeCapError as exc:
-                raise SizeCapError(f"a block of {n} vertices is above the exhaustive scan's cap of "
-                                   f"{EXHAUSTIVE_VERTEX_CAP}, and its universal family is refused: "
-                                   f"{exc}") from None
-            mode.families[n, k, ell] = FamilyColorings(functions, n)
-        mode = mode.families[n, k, ell]
+                raise SizeCapError(f"a block of {t} vertices on short cycles is above the "
+                                   f"exhaustive scan's cap of {EXHAUSTIVE_VERTEX_CAP}, and its "
+                                   f"universal family is refused: {exc}") from None
+            mode.families[t, k, ell] = FamilyColorings(functions, t)
+        mode = mode.families[t, k, ell]
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
         rng = random.Random(mode.seed)
-        iters = mode.iterations if mode.iterations is not None else default_iterations(n, k, ell)
-        classes = (_classes([rng.randint(1, q) for _ in range(n)]) for _ in range(iters))
+        iters = mode.iterations if mode.iterations is not None else default_iterations(t, k, ell)
+        classes = (_classes([rng.randint(1, q) for _ in range(t)]) for _ in range(iters))
     elif isinstance(mode, FamilyColorings):
         # extra colors past this palette only split components further,
         # which is sound (re-verified)
-        classes = mode.distinct(n)
+        classes = mode.distinct(t)
     else:
         raise InputError(f"unknown mode {mode!r}")
     yield from _distinct(_components(adj, c) for c in classes)
 
 
-def _has_cycle_within(adj: tuple[int, ...], length: int) -> bool:
-    """Whether some cycle has at most `length` edges, by a breadth-first
-    search to depth length // 2 from each vertex: an edge inside layer d, or
-    a vertex reached twice from it, closes a cycle of at most 2d + 1 or
-    2d + 2 edges, and the search from a vertex of a shortest cycle finds one."""
-    for root in range(len(adj)):
-        seen = layer = 1 << root
-        for d in range((length + 1) // 2):
-            ahead = 0
-            for i in bits(layer):
-                out = adj[i] & ~seen
-                if adj[i] & layer or out & ahead and 2 * d + 2 <= length:
-                    return True
-                ahead |= out
-            seen, layer = seen | ahead, ahead
-    return False
+def _live(adj: tuple[int, ...], length: int) -> int:
+    """The vertices on some cycle of at most `length` edges: x and y are, for
+    an edge xy, when a breadth-first search from y without the edge reaches a
+    neighbor of x within length - 2 steps.  Edges with both ends live are skipped."""
+    live = 0
+    for x in range(len(adj)):
+        for y in bits(adj[x] >> x + 1 << x + 1):
+            if live >> x & live >> y & 1:
+                continue
+            seen, frontier = 1 << y, adj[y] & ~(1 << x)
+            for _ in range(length - 2):
+                if frontier & adj[x]:
+                    live |= 1 << x | 1 << y
+                    break
+                seen |= frontier
+                frontier = reach(adj, frontier) & ~seen
+    return live
 
 
 def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit: bool,
@@ -436,10 +441,10 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
     contractions bringing them to total excess <= j), so a partition is only
     refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
     fits no solution or improves no entry.  With `first_hit` the scan stops
-    at the first witness that completes a feasible knapsack, and a block with
-    no cycle of at most cap + 2 edges is not scanned at all.  The scan runs
-    on b's mask index, its vertices in shape order (`rank`, see `solve`); a
-    structure is built only for a witness that improves an entry.
+    at the first witness that completes a feasible knapsack.  Only vertices
+    on a cycle of at most cap + 2 edges are partitioned (see the module
+    docstring), first on b's mask index, each group in shape order (`rank`);
+    a structure is built only for a witness that improves an entry.
     """
     best: list[tuple[int, WitnessStructure] | None] = [None] * (ell + 1)
 
@@ -458,20 +463,23 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
             or prev[ell] >= k):
         return best
 
-    if isinstance(mode, FamilyColorings) and b.n > mode.domain:
-        raise InputError(f"family domain {mode.domain} is smaller than a block of {b.n} vertices")
-
     def budget() -> int:
         return min(k - prev[ell], best[0][0] - 1)
 
     idx = mask_index(b, rank)
-    if not _has_cycle_within(idx.adj, budget() + 2):
+    if not (live := _live(idx.adj, budget() + 2)):
         return best  # no witness within the budget lowers b's excess
+    members, t = idx.members(live), live.bit_count()
+    if isinstance(mode, FamilyColorings) and t > mode.domain:
+        raise InputError(f"family domain {mode.domain} is smaller than a block of {t} vertices "
+                         "on short cycles")
+    idx = mask_index(b, lambda u: (u not in members, rank(u)))  # the live vertices first
+    frozen = tuple(1 << i for i in range(t, b.n))
     # per scan and keyed by part mask: each part's shape and minimum shatter
     adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
     charge = partial(_charge, adj, shape, shatters, budget)
-    for parts in _mode_partitions(adj, k, ell, mode, charge):
-        refined = _refine(adj, parts, budget(), shape, shatters)
+    for parts in _mode_partitions(adj, t, k, ell, mode, charge):
+        refined = _refine(adj, parts + frozen, budget(), shape, shatters)
         if refined is None or refined[1] == 0:
             continue  # cost 0 is the all-singletons witness, offered first
         bags, cost = refined

@@ -112,6 +112,25 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def shortest_cycle_through(g: Graph, max_length: int) -> dict[int, float]:
+    """For each vertex, the length of a shortest cycle through it (inf when
+    none has at most max_length edges), by walking every simple path that
+    starts at the cycle's smallest vertex."""
+    best = dict.fromkeys(g.vertices, float("inf"))
+
+    def walk(path: list[int]):
+        for y in g.neighbors(path[-1]):
+            if y == path[0] and len(path) >= 3:
+                for v in path:
+                    best[v] = min(best[v], len(path))
+            elif y > path[0] and y not in path and len(path) < max_length:
+                walk(path + [y])
+
+    for s in g.vertices:
+        walk([s])
+    return best
+
+
 def all_edge_subsets(g: Graph, max_size: int):
     es = sorted(g.edges)
     for size in range(0, max_size + 1):

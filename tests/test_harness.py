@@ -439,7 +439,13 @@ class TestCli:
             assert verify_witness(g, parse_witness(out.read_text()), ell, k).valid
 
     def test_family_file_applies_by_rank_within_each_block(self, tmp_path, capsys):
-        g, src = self._write_two_c5(tmp_path)
+        # two C5 sharing vertex 1, with chords 1-3 and 1-7: every vertex of
+        # each 5-vertex block lies on a triangle or 4-cycle, so each block
+        # needs a family over 5 positions
+        g = Graph.build(range(1, 10), list(cycle_graph([1, 2, 3, 4, 5]).edges)
+                        + list(cycle_graph([1, 6, 7, 8, 9]).edges) + [(1, 3), (1, 7)])
+        src = tmp_path / "two_c5_chords.graph"
+        src.write_text(serialize_graph(g))
         fam_file = tmp_path / "fam.txt"
         out = tmp_path / "witness.txt"
         args = ["--mode", "derand", "--k", "3", "--ell", "1", "--in", str(src),
@@ -540,10 +546,11 @@ class TestCli:
         assert found == {(True, 0), (True, 1), (False, 1)}  # some yes instances are missed
 
     def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys, monkeypatch):
-        # C14 with chord 1-8 (girth 8) and C12 with chord 1-3: one block above
-        # the exhaustive cap each.  At k = 3 no cycle of C14's is short
-        # enough to lower its excess, so it is decided with no family built;
-        # C12's triangle is, so derand scans it with the 12-vertex family
+        # C14 with chord 1-8 (girth 8) and the wheel of a hub and a 10-cycle:
+        # one block above the exhaustive cap each.  At k = 3 no cycle of
+        # C14's is short enough to lower its excess, so it is decided with no
+        # family built; all 11 of the wheel's vertices lie on triangles, so
+        # derand scans them with the 11-vertex family
         import neartree.solver as solver_module
 
         builds = []
@@ -553,9 +560,11 @@ class TestCli:
             return coloring_family(n, k, ell, seed=seed)
 
         monkeypatch.setattr(solver_module, "coloring_family", counted)
+        c14_chord = Graph.build(range(1, 15), list(cycle_graph(range(1, 15)).edges) + [(1, 8)])
+        wheel = Graph.build(range(1, 12), list(cycle_graph(range(2, 12)).edges)
+                            + [(1, v) for v in range(2, 12)])
         src = tmp_path / "g.graph"
-        for n, chord, k, built in ((14, (1, 8), 3, []), (12, (1, 3), 2, [(12, 2, 0)])):
-            g = Graph.build(range(1, n + 1), list(cycle_graph(range(1, n + 1)).edges) + [chord])
+        for g, k, built in ((c14_chord, 3, []), (wheel, 2, [(11, 2, 0)])):
             src.write_text(serialize_graph(g))
             assert not exact_decide(Instance(g, k, 0))
             builds.clear()
@@ -563,7 +572,7 @@ class TestCli:
             captured = capsys.readouterr()
             assert f"result decision=no cost={k + 1} mode=derand" in captured.out
             assert captured.err == ""
-            assert builds == built, n
+            assert builds == built, g.n
 
     def test_derand_decides_early_exits_without_a_family(self, tmp_path, capsys):
         # C12 and C11 are already within excess ell, and at k <= 0 nothing is
@@ -638,6 +647,19 @@ class TestCli:
                 if mode != "rand":
                     assert next(iter(seen))[0] == (1 if (k, ell) in ((1, 0), (2, 0)) else 0)
 
+    @staticmethod
+    def _exhaustive_and_derand(src, out, k: int, ell: int, capsys) -> list[tuple]:
+        """(exit code, result line with mode= left out, witness) per mode."""
+        printed = []
+        for mode in ("exhaustive", "derand"):
+            code = main(["--mode", mode, "--k", str(k), "--ell", str(ell),
+                         "--in", str(src), "--out", str(out)])
+            witness = out.read_text() if code == 0 else None
+            if code == 0:
+                out.unlink()
+            printed.append((code, capsys.readouterr().out.replace(f" mode={mode} ", " "), witness))
+        return printed
+
     def test_exhaustive_and_derand_print_the_same_answer(self, tmp_path, capsys):
         # within the exhaustive cap both modes run the same scan on the same
         # shape order, so they print the same line (mode= aside) and witness
@@ -648,24 +670,41 @@ class TestCli:
             src.write_text(serialize_graph(gen_random_instance(n, 0.4, 0, 0, seed=seed).graph))
             for k in range(4):
                 for ell in range(3):
-                    printed = []
-                    for mode in ("exhaustive", "derand"):
-                        code = main(["--mode", mode, "--k", str(k), "--ell", str(ell),
-                                     "--in", str(src), "--out", str(out)])
-                        witness = out.read_text() if code == 0 else None
-                        if code == 0:
-                            out.unlink()
-                        line = capsys.readouterr().out.replace(f" mode={mode} ", " ")
-                        printed.append((code, line, witness))
+                    printed = self._exhaustive_and_derand(src, out, k, ell, capsys)
                     assert printed[0] == printed[1], (seed, k, ell, printed)
                     yes += printed[0][0] == 0
         assert yes > 0
 
+    def test_chorded_cycles_above_the_cap_match_the_oracle(self, tmp_path, capsys):
+        # C11-C14 with 1-3 seeded chords: one block above the scan's cap each,
+        # with few enough vertices on short cycles to scan them.  Exhaustive
+        # and derand mode print the same line (mode= aside) and witness, and
+        # the oracle agrees with their decision
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        decided = set()
+        for n in range(11, 15):
+            for copy in range(2):
+                rng = random.Random(f"chorded/{n}/{copy}")
+                edges = set(cycle_graph(range(1, n + 1)).edges)
+                while len(edges) < n + 1 + copy + n % 2:
+                    edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+                g = Graph.build(range(1, n + 1), edges)
+                src.write_text(serialize_graph(g))
+                for k in (1, 2):
+                    for ell in (0, 1):
+                        printed = self._exhaustive_and_derand(src, out, k, ell, capsys)
+                        case = (sorted(edges), k, ell)
+                        assert printed[0] == printed[1], (case, printed)
+                        assert printed[0][0] == (0 if exact_decide(Instance(g, k, ell)) else 1), case
+                        decided.add(printed[0][0])
+        assert decided == {0, 1}
+
     def test_exhaustive_and_derand_agree_above_the_cap(self, tmp_path, capsys, monkeypatch):
-        # one block above the scan's cap each, so both modes scan it with the
-        # seed-0 family: K2,9 with its hub edge is a yes at (1, 0), C12 with
-        # chord 1-3 a certified no at (2, 0).  Both print the same line
-        # (mode= aside) and witness, and --seed changes neither
+        # one block with 11 vertices on triangles each, above the scan's cap,
+        # so both modes scan it with the seed-0 family: K2,9 with its hub
+        # edge is a yes at (1, 0), the wheel of a hub and a 10-cycle a
+        # certified no at (2, 0).  Both print the same line (mode= aside) and
+        # witness, and --seed changes neither
         import neartree.solver as solver_module
 
         builds = []
@@ -676,10 +715,11 @@ class TestCli:
 
         monkeypatch.setattr(solver_module, "coloring_family", counted)
         k29_hub = Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 12)])
-        c12_chord = Graph.build(range(1, 13), list(cycle_graph(range(1, 13)).edges) + [(1, 3)])
+        wheel = Graph.build(range(1, 12), list(cycle_graph(range(2, 12)).edges)
+                            + [(1, v) for v in range(2, 12)])
         src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
         for g, k, code, line in ((k29_hub, 1, 0, "result decision=yes cost=1 edges=1-2\n"),
-                                 (c12_chord, 2, 1, "result decision=no cost=3\n")):
+                                 (wheel, 2, 1, "result decision=no cost=3\n")):
             src.write_text(serialize_graph(g))
             witnesses = set()
             for mode in ("exhaustive", "derand"):
@@ -769,35 +809,44 @@ class TestCli:
 
     def test_no_solving_mode_hangs_on_a_long_chorded_cycle(self, tmp_path, capsys):
         # C30 with chords 1-4, 8-23 and 12-27 at (k, ell) = (2, 1): one
-        # 30-vertex block, above every scan cap.  Random mode's default would
-        # be 4^20 colorings, so it is refused; each mode answers or exits 2
-        g = Graph.build(range(1, 31), list(cycle_graph(range(1, 31)).edges)
-                        + [(1, 4), (8, 23), (12, 27)])
-        src = tmp_path / "c30_chords.graph"
-        src.write_text(serialize_graph(g))
-        errors = {}
-        for mode in ("exact", "rand", "exhaustive", "derand", "kernel"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "neartree.harness", "--mode", mode,
-                 "--k", "2", "--ell", "1", "--in", str(src)],
-                capture_output=True, text=True, env=self._child_env(), timeout=10)
-            if proc.returncode == 2:
-                assert proc.stdout == "" and proc.stderr.startswith("error: "), (mode, proc.stderr)
-                errors[mode] = proc.stderr
-            else:
-                assert proc.stdout.startswith("result decision="), (mode, proc.stdout)
-        assert "give --iters" in errors["rand"]
-        # exhaustive and derand mode take a universal family for the block,
-        # which GREEDY_CAP refuses: one error line that names the block
+        # 30-vertex block, of which only the 4-cycle 1-2-3-4 is short enough
+        # to matter, so the scanning modes answer and exhaustive and derand
+        # mode agree.  K2,9 with its hub edge has all 11 vertices on
+        # triangles: random mode's default would be 10 * 4^11 colorings, so
+        # it is refused; each mode answers or exits 2
+        c30 = Graph.build(range(1, 31), list(cycle_graph(range(1, 31)).edges)
+                          + [(1, 4), (8, 23), (12, 27)])
+        k29_hub = Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 12)])
+        errors, decisions = {}, {}
+        for name, g in (("c30", c30), ("k29", k29_hub)):
+            src = tmp_path / f"{name}.graph"
+            src.write_text(serialize_graph(g))
+            for mode in ("exact", "rand", "exhaustive", "derand", "kernel"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "neartree.harness", "--mode", mode,
+                     "--k", "2", "--ell", "1", "--in", str(src)],
+                    capture_output=True, text=True, env=self._child_env(), timeout=10)
+                if proc.returncode == 2:
+                    assert proc.stdout == "" and proc.stderr.startswith("error: "), (
+                        name, mode, proc.stderr)
+                    errors[name, mode] = proc.stderr
+                else:
+                    assert proc.stdout.startswith("result decision="), (name, mode, proc.stdout)
+                    decisions[name, mode] = proc.stdout.split()[1]
+        assert decisions["c30", "exhaustive"] == decisions["c30", "derand"]
+        assert "give --iters" in errors["k29", "rand"]
+        # exhaustive and derand mode take a universal family for K2,9's
+        # block, which GREEDY_CAP refuses: one error line that names the block
         for mode in ("exhaustive", "derand"):
-            assert errors[mode].count("\n") == 1 and "Traceback" not in errors[mode], mode
-            assert errors[mode].startswith("error: a block of 30 vertices is above the exhaustive "
-                                           "scan's cap of 10, and its universal family is "
-                                           "refused: "), (mode, errors[mode])
+            err = errors["k29", mode]
+            assert err.count("\n") == 1 and "Traceback" not in err, mode
+            assert err.startswith("error: a block of 11 vertices on short cycles is above the "
+                                  "exhaustive scan's cap of 10, and its universal family is "
+                                  "refused: "), (mode, err)
         # an explicit count is never capped
-        assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(src),
-                     "--iters", "5"]) == 1
-        assert capsys.readouterr().out.startswith("result decision=not-found")
+        assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(tmp_path / "k29.graph"),
+                     "--iters", "5"]) == 0
+        assert capsys.readouterr().out.startswith("result decision=yes")
 
     def test_blocks_above_the_caps_are_decided_by_the_floor(self, tmp_path):
         # K3,3 with every edge subdivided twice (girth 12) and C2000 with chord

@@ -288,6 +288,21 @@ class TestKernelize:
         with pytest.raises(InputError):
             replay(inst, bogus)
 
+    def test_replay_deletes_a_run_of_twins_at_once_and_checks_each(self):
+        # K2,6 with hubs 1 and 2: a run of twin deletions is one rebuild, yet
+        # every step keeps its own stage and None merge, and a vertex that is
+        # absent, or deleted twice within the run, is still refused by name
+        inst, hubs = Instance(biclique(2, 6), 1, 0), frozenset({1, 2})
+        run = tuple(TwinDelete(v, hubs) for v in (3, 4, 5))
+        stages, merges = replay(inst, KernelTrace(run + (LongPathContract(((1, 6),)),)))
+        assert merges[:3] == [None] * 3 and merges[3] is not None
+        assert [s.graph for s in stages[1:4]] == [inst.graph.without({3, 4, 5})] * 3
+        assert stages[-1].graph.n == 4 and [s.k for s in stages] == [1] * 5
+        for steps, absent in ((run + (TwinDelete(4, hubs),), 4),
+                              ((TwinDelete(9, hubs),) + run, 9)):
+            with pytest.raises(InputError, match=f"trace mismatch: vertex {absent} absent"):
+                replay(inst, KernelTrace(steps))
+
 
 class TestRunsMatchTheStepLoop:
     """`kernelize` and `kernelize_exact` give what the plain fixed point of

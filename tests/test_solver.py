@@ -4,7 +4,16 @@ from functools import cache, partial
 
 import pytest
 
-from helpers import _block_chromatic, connected_graphs, girth, glue_blocks, subdivided_k33
+from helpers import (
+    _block_chromatic,
+    connected_graphs,
+    connected_partitions_brute,
+    girth,
+    glue_blocks,
+    quotient_reference,
+    shortest_cycle_through,
+    subdivided_k33,
+)
 
 from neartree.cvc import shatter_core
 from neartree.errors import InputError, InternalError
@@ -32,7 +41,7 @@ from neartree.solver import (
     _block_profile,
     _charge,
     _connected_partitions,
-    _has_cycle_within,
+    _live,
     _quotient_excess,
     _refine,
     _shape,
@@ -459,31 +468,49 @@ class TestBlockKnapsack:
 
 
 class TestShortCycleFloor:
-    """A block with no cycle of at most budget + 2 edges has no witness within
-    the budget below its excess, so `_block_profile` returns it unscanned."""
+    """Only a vertex on a cycle of at most budget + 2 edges can sit in a bag
+    of more than one vertex of a cheapest witness, so `_block_profile` scans
+    those live vertices alone and returns a block with none unscanned."""
 
     def test_finds_exactly_the_cycles_within_the_length(self):
         graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
         graphs += [cycle_graph(range(1, n + 1)) for n in (7, 11, 12)] + [subdivided_k33()]
         for g in graphs:
-            adj, shortest = mask_index(g).adj, girth(g)
+            idx, shortest, through = mask_index(g), girth(g), shortest_cycle_through(g, 13)
             for length in range(14):
-                assert _has_cycle_within(adj, length) == (shortest <= length), (
+                live = _live(idx.adj, length)
+                assert (live != 0) == (shortest <= length), (sorted(g.edges), length)
+                assert idx.members(live) == {v for v in g.vertices if through[v] <= length}, (
                     sorted(g.edges), length)
+
+    def test_freezing_the_other_vertices_keeps_the_least_excess(self):
+        # the lemma, by brute force: over every partition into connected
+        # bags, the least quotient excess within cost c is the same when each
+        # vertex on no cycle of at most c + 2 edges must stay a singleton
+        for g in (g for n in range(3, 7) for g in connected_graphs(n)):
+            through = shortest_cycle_through(g, g.n)
+            scored = [(g.n - len(p), excess(quotient_reference(g, WitnessStructure.of(p))), p)
+                      for p in connected_partitions_brute(g)]
+            for c in range(g.n):
+                live = {v for v in g.vertices if through[v] <= c + 2}
+                within = [(x, p) for cost, x, p in scored if cost <= c]
+                frozen = [x for x, p in within if all(len(bag) == 1 or bag <= live for bag in p)]
+                assert min(x for x, _ in within) == min(frozen), (sorted(g.edges), c)
 
     def test_profiles_match_the_oracle_on_every_small_block(self, oracle_cache, monkeypatch):
         # with no block before it, entry e of a block's profile is the
-        # optimum for excess <= e wherever that is within k; a floor that
-        # skipped a block with a cheaper witness would leave a dearer entry
+        # optimum for excess <= e wherever that is within k; a live mask that
+        # froze a vertex of every cheapest witness would leave a dearer entry
         import neartree.solver as solver_module
 
         floors = []
 
         def recorded(adj, length):
-            floors.append(_has_cycle_within(adj, length))
-            return floors[-1]
+            live = _live(adj, length)
+            floors.append(live != 0)
+            return live
 
-        monkeypatch.setattr(solver_module, "_has_cycle_within", recorded)
+        monkeypatch.setattr(solver_module, "_live", recorded)
         blocks = [g for n in range(3, 7) for g in connected_graphs(n)
                   if biconnected_blocks(g) == (g,)]
         for g in blocks:
