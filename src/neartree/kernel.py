@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import ceil, comb, inf
 
-from .errors import InputError
+from .errors import InputError, SizeCapError
 from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, excess
 
 MAX_LOSSY_DEGREE = 16  # cap on d = ceil(alpha / (alpha - 1)); rejects alpha too close to 1
+LOSSY_SUBSET_CAP = 1 << 18  # cap on the d-subsets of neighborhoods the lossy rule lists
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +183,14 @@ def reduce_common_neighborhood(instance: Instance, alpha: float,
     """The lexicographically smallest d-set of hubs that k + ell + 2
     independent vertices share, with the lowest of them, v1, contracted onto
     it.  An independent vertex has only high neighbors, so counting the
-    d-subsets of each one's neighborhood finds every shared hub set."""
+    d-subsets of each one's neighborhood finds every shared hub set; more
+    than LOSSY_SUBSET_CAP of them raise SizeCapError before any is listed."""
     g, k, ell = instance.graph, instance.k, instance.ell
     d = lossy_degree(alpha)
     part = part or partition_hir(instance)
+    if (subsets := sum(comb(g.degree(v), d) for v in part.independent)) > LOSSY_SUBSET_CAP:
+        raise SizeCapError(f"the lossy rule at d={d} would list {subsets} hub sets, above the "
+                           f"cap {LOSSY_SUBSET_CAP}; choose alpha further from 1")
     sharers: dict[tuple[int, ...], list[int]] = {}
     for v in sorted(part.independent):
         for hub_set in combinations(sorted(g.neighbors(v)), d):

@@ -11,13 +11,14 @@ chosen per-block edge sets is the solution.  The last (largest) block stops
 at the first witness that completes a feasible knapsack, so a graph with one
 block that needs contractions is scanned exactly as a 2-connected instance.
 
-Within a block, vertex colorings with at most 2*ceil(sqrt(ell)) + 2 colors
-propose witnesses: the monochromatic components of a coloring are
+Within a block, exhaustive mode offers each connected partition the lemma
+below leaves as its own witness; other modes draw vertex colorings with at
+most 2*ceil(sqrt(ell)) + 2 colors, whose monochromatic components are
 classified (contract whole, keep as singletons, or split via a minimum
-shatter) and refined into a witness structure, abandoned as soon as its
-cost passes the budget.  Contracting all but one vertex of a block always
-reaches excess 0 at cost n_B - 2; every cheaper witness has a quotient of
-at least 3 vertices, the case the coloring argument covers.
+shatter) and refined into a witness, abandoned once its cost passes the
+budget.  Contracting all but one vertex of a block always reaches excess 0
+at cost n_B - 2; every cheaper witness has a quotient of at least 3
+vertices, the case the coloring argument covers.
 
 Only vertices on short cycles are scanned, in every mode and at any size.
 Lemma: in a witness of least cost among those of cost <= c and quotient
@@ -42,23 +43,14 @@ set-based public functions (`monochromatic_components`,
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
-Completeness of exhaustive mode: the refinement depends on a coloring only
-through its monochromatic components, and each connected partition P of a
-block is those of a coloring within the palette of its own witness's excess
-x.  Each part's bags are connected in the bag quotient (a path part's pieces
-as the part is connected, a shatter part's singletons as its core is a vertex
-cover of the part); contracting connected sets never raises cycle rank, so
-the graph H of touching parts has excess <= x, and palette_size(x) colors
-color H properly (the coloring lemma, `graph.near_tree_coloring`): give each
-vertex its part's color.  So the scan takes every connected partition and
-offers each witness at its x; the coloring whose components are a cheapest
-witness's bags keeps each vertex off the live set alone, by the lemma.  It
-drops a prefix of parts once their cost floors pass the budget: 0 for a
-path (it may fall apart), else the shatter's exact cost.  Cost only grows
-along a partition and the budget only falls, so no dropped partition would
-have been refined.  Exhaustive mode takes this scan for each block of at
-most EXHAUSTIVE_VERTEX_CAP live vertices, and a larger one the seed-0
-universal family for that count, built when first scanned.
+Completeness of exhaustive mode: by the lemma every bag of two or more
+vertices of a cheapest witness lies among the live vertices, and each bag is
+connected, so the witness is a connected partition of the live vertices plus
+frozen singletons.  The scan offers every such partition within the budget,
+at cost t - #parts for t live vertices, and drops a prefix of parts once its
+cost passes the budget.  It covers each block of at most
+EXHAUSTIVE_VERTEX_CAP live vertices; a larger one takes the seed-0 universal
+family for that count, built when first scanned.
 """
 
 from __future__ import annotations
@@ -106,7 +98,7 @@ class RandomColorings:
 
 @dataclass(frozen=True)
 class ExhaustiveColorings:
-    """The complete mode; see `_mode_partitions`."""
+    """The complete mode; see `_witnesses`."""
     # (n, k, ell) -> FamilyColorings, so blocks of one size share one build
     families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -140,9 +132,10 @@ def default_iterations(n: int, k: int, ell: int) -> int:
     """min((2*ceil(sqrt(ell)) + 2)^(6k + 8*ell), 10 * q^n) for a block of n
     live vertices; both are fall-backs, explicit counts are preferred.  A
     default above RANDOM_DEFAULT_CAP raises SizeCapError instead of starting
-    a loop that would not end at desk scale."""
+    a loop that would not end at desk scale.  Since q >= 2, q^(n + 4) > 10 * q^n
+    bounds the exponent, so a huge k costs nothing."""
     q = palette_size(ell)
-    iters = min(q ** (6 * k + 8 * ell), 10 * q ** n)
+    iters = min(q ** min(6 * k + 8 * ell, n + 4), 10 * q ** n)
     if iters > RANDOM_DEFAULT_CAP:
         raise SizeCapError(f"random mode's default of {iters} colorings for {n} vertices on "
                            f"short cycles passes the cap {RANDOM_DEFAULT_CAP}; give --iters")
@@ -266,16 +259,6 @@ def _shatter(adj: tuple[int, ...], x: int, budget: int, memo: dict) -> int | Non
     return core
 
 
-def _charge(adj: tuple[int, ...], shape, shatters: dict, budget, x: int, spent: int) -> int | None:
-    """`spent` plus the least part x adds to any partition's cost, or None
-    past budget(): 0 for a path (it may fall apart), else exactly its
-    shatter core - 1."""
-    if shape(x) is not None:
-        return spent if spent <= budget() else None
-    core = _shatter(adj, x, budget() + 1 - spent, shatters)
-    return None if core is None else spent + core.bit_count() - 1
-
-
 def _refine(adj: tuple[int, ...], parts: tuple[int, ...], budget: int,
             shape, shatters: dict) -> tuple[list[int], int] | None:
     """Bags (masks) and cost of the minimum-cost witness structure obtainable
@@ -354,13 +337,13 @@ def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
     return sorted(out)
 
 
-def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None = None,
-                          charge=None, spent: int = 0):
+def _connected_partitions(rest: int, adj: tuple[int, ...], budget, blocks: dict | None = None,
+                          spent: int = 0):
     """Partitions of `rest` into connected blocks (as masks, by lowest
-    vertex), lazily, each with no check of the colors it needs (see the
-    module docstring); `blocks` keeps each remaining mask's blocks for the
-    scan.  charge(block, spent) gives the cost floor of a prefix from its
-    last block and the floor before it, or None to cut the prefix."""
+    vertex), lazily, dropping a prefix once its cost, the sum of |block| - 1,
+    passes budget(): exact, as cost only grows along a prefix and the budget
+    only falls during a scan.  `blocks` keeps each remaining mask's blocks
+    for the scan."""
     if not rest:
         yield ()
         return
@@ -368,27 +351,29 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], blocks: dict | None =
     if rest not in blocks:
         blocks[rest] = _connected_blocks_with_min(rest, adj)
     for block in blocks[rest]:
-        total = spent if charge is None else charge(block, spent)
-        if total is not None:
-            for tail in _connected_partitions(rest ^ block, adj, blocks, charge, total):
+        total = spent + block.bit_count() - 1
+        if total <= budget():
+            for tail in _connected_partitions(rest ^ block, adj, budget, blocks, total):
                 yield (block, *tail)
 
 
 # ---------------------------------------------------------------------------
 # one block: the witnesses a mode proposes, kept as a cost profile
 
-def _mode_partitions(adj: tuple[int, ...], t: int, k: int, ell: int, mode, charge):
-    """Partitions (masks) of the block's t live vertices, the first t of its
-    index, into components, in the order the mode proposes them.  Exhaustive
-    mode yields every connected partition when t is within
-    EXHAUSTIVE_VERTEX_CAP, each the components of a coloring within the
-    palette of its own witness's excess (see the module docstring), cut by
-    `charge`; above it, where the scan explodes if dense, it takes the
-    seed-0 universal family for t.  Family functions color the live vertices
-    by rank, so the domain bounds t."""
+def _witnesses(adj: tuple[int, ...], t: int, frozen: tuple[int, ...], k: int, ell: int,
+               mode, budget):
+    """Witnesses (bags as masks, cost) the mode proposes for a block whose t
+    live vertices come first in its index, each followed by the `frozen`
+    singletons of the others, none dearer than budget().  Exhaustive mode
+    offers every connected partition of the live vertices as itself when t
+    is within EXHAUSTIVE_VERTEX_CAP (see the module docstring); above it,
+    where the scan explodes if dense, it takes the seed-0 universal family
+    for t.  A coloring's components are refined into a witness.  Family
+    functions color the live vertices by rank, so the domain bounds t."""
     if isinstance(mode, ExhaustiveColorings):
         if t <= EXHAUSTIVE_VERTEX_CAP:
-            yield from _connected_partitions((1 << t) - 1, adj, {}, charge)
+            for parts in _connected_partitions((1 << t) - 1, adj, budget):
+                yield parts + frozen, t - len(parts)
             return
         if (t, k, ell) not in mode.families:
             try:
@@ -410,7 +395,12 @@ def _mode_partitions(adj: tuple[int, ...], t: int, k: int, ell: int, mode, charg
         classes = mode.distinct(t)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    yield from _distinct(_components(adj, c) for c in classes)
+    # per scan and keyed by part mask: each part's shape and minimum shatter
+    shape, shatters = cache(partial(_shape, adj)), {}
+    for parts in _distinct(_components(adj, c) for c in classes):
+        refined = _refine(adj, parts + frozen, budget(), shape, shatters)
+        if refined is not None:
+            yield refined
 
 
 def _live(adj: tuple[int, ...], length: int) -> int:
@@ -438,8 +428,8 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
     bringing b to excess <= e, or None.
 
     `prev` is the knapsack over the blocks before b (prev[j]: fewest
-    contractions bringing them to total excess <= j), so a partition is only
-    refined under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
+    contractions bringing them to total excess <= j), so a witness is only
+    proposed under the cap min(k - prev[ell], c_B(0) - 1): a dearer witness
     fits no solution or improves no entry.  With `first_hit` the scan stops
     at the first witness that completes a feasible knapsack.  Only vertices
     on a cycle of at most cap + 2 edges are partitioned (see the module
@@ -475,15 +465,10 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
                          "on short cycles")
     idx = mask_index(b, lambda u: (u not in members, rank(u)))  # the live vertices first
     frozen = tuple(1 << i for i in range(t, b.n))
-    # per scan and keyed by part mask: each part's shape and minimum shatter
-    adj, shape, shatters = idx.adj, cache(partial(_shape, idx.adj)), {}
-    charge = partial(_charge, adj, shape, shatters, budget)
-    for parts in _mode_partitions(adj, t, k, ell, mode, charge):
-        refined = _refine(adj, parts + frozen, budget(), shape, shatters)
-        if refined is None or refined[1] == 0:
-            continue  # cost 0 is the all-singletons witness, offered first
-        bags, cost = refined
-        x = _quotient_excess(adj, bags)
+    for bags, cost in _witnesses(idx.adj, t, frozen, k, ell, mode, budget):
+        if cost == 0:
+            continue  # the all-singletons witness, offered first
+        x = _quotient_excess(idx.adj, bags)
         if (x <= ell and (best[x] is None or cost < best[x][0])
                 and offer(cost, x, WitnessStructure.of(map(idx.members, bags)))):
             break

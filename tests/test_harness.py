@@ -230,6 +230,31 @@ class TestCli:
             assert capsys.readouterr() == (
                 "", f"error: random mode needs at least 1 coloring per block (got {iters})\n")
 
+    def test_rand_default_count_survives_a_huge_k(self, tmp_path, capsys):
+        # two K4s sharing vertex 4: the default count stops at 10 * q^n
+        src = tmp_path / "two_k4.graph"
+        src.write_text(serialize_graph(Graph.build(
+            range(1, 8), list(complete_graph([1, 2, 3, 4]).edges)
+            + list(complete_graph([4, 5, 6, 7]).edges))))
+        assert main(["--mode", "rand", "--k", str(10**9), "--ell", "0", "--in", str(src)]) == 0
+        assert "result decision=yes cost=4 mode=rand" in capsys.readouterr().out
+
+    def test_kernel_refuses_a_lossy_rule_above_its_subset_cap(self, tmp_path, capsys):
+        # 70 independent vertices, each on a cyclic window of 40 of 60 hubs:
+        # at alpha 1.07 (d = 16) the rule would list 70 * C(40, 16) hub sets
+        src = tmp_path / "windows.graph"
+        src.write_text(serialize_graph(Graph.build(range(1, 131), {
+            ((j + i) % 60 + 1, 61 + j) for j in range(70) for i in range(40)})))
+        args = ["--mode", "kernel", "--k", "2", "--ell", "1", "--in", str(src)]
+        start = time.perf_counter()
+        assert main([*args, "--alpha", "1.07"]) == 2
+        assert time.perf_counter() - start < 5
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the lossy rule at d=16 ")
+        assert main([*args, "--alpha", "2"]) == 0
+        assert capsys.readouterr().out == ("result decision=not-found cost=1 mode=kernel seed=0 "
+                                           "reduced_n=128 reduced_k=1 resolved=none\n")
+
     def test_exhaustive_no(self, tmp_path, capsys):
         g = self._write_c4(tmp_path)
         code = main(["--mode", "exhaustive", "--k", "1", "--ell", "0", "--in", str(g)])

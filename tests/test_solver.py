@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import cache, partial
 
 import pytest
@@ -15,7 +16,6 @@ from helpers import (
     subdivided_k33,
 )
 
-from neartree.cvc import shatter_core
 from neartree.errors import InputError, InternalError
 from neartree.families import coloring_family
 from neartree.graph import (
@@ -39,13 +39,13 @@ from neartree.solver import (
     FamilyColorings,
     RandomColorings,
     _block_profile,
-    _charge,
     _connected_partitions,
     _live,
     _quotient_excess,
     _refine,
     _shape,
     classify_component,
+    default_iterations,
     monochromatic_components,
     refine_coloring,
     solve,
@@ -162,7 +162,7 @@ class TestPartitionEnumeration:
     def by_masks(g: Graph, q: int) -> set:
         idx = mask_index(g)
         return {frozenset(map(idx.members, masks))
-                for masks in _connected_partitions((1 << g.n) - 1, idx.adj)
+                for masks in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n)
                 if _block_chromatic(masks, idx.adj) <= q}
 
     def test_matches_all_colorings(self):
@@ -172,10 +172,11 @@ class TestPartitionEnumeration:
                 assert self.by_masks(g, q) == self.by_colorings(g, q), (sorted(g.edges), q)
 
 
-class TestPrefixCut:
-    """Exhaustive scans drop a prefix of parts once the parts' cost floors
-    pass the budget: 0 for a path, which may fall into singletons, else the
-    shatter core - 1.  No partition the refinement accepts may be dropped."""
+class TestBudgetCut:
+    """Exhaustive scans offer each connected partition as its own witness
+    and drop a prefix of parts once its cost, the sum of |part| - 1, passes
+    the budget: exactly the partitions dearer than the budget go, and the
+    rest keep their order."""
 
     @staticmethod
     def graphs() -> list[Graph]:
@@ -190,41 +191,33 @@ class TestPrefixCut:
             out.append(Graph.build(range(1, n + 1), edges))
         return out
 
-    def test_cut_drops_only_partitions_refinement_rejects(self):
+    def test_keeps_exactly_the_partitions_within_budget_in_order(self):
         dropped = 0
         for g in self.graphs():
             adj = mask_index(g).adj
             full = (1 << g.n) - 1
-            every = list(_connected_partitions(full, adj))
-            # each part's floor, worked out apart from the scan
-            floors = {x: 0 if _shape(adj, x) is not None
-                      else shatter_core(adj, x, g.n).bit_count() - 1
-                      for p in every for x in p}
+            every = list(_connected_partitions(full, adj, lambda: g.n))
             for budget in range(4):
-                shape, shatters = cache(partial(_shape, adj)), {}
-                charge = partial(_charge, adj, shape, shatters, lambda: budget)
-                kept = list(_connected_partitions(full, adj, charge=charge))
-                case = (sorted(g.edges), budget)
-                assert kept == [p for p in every if p in set(kept)], case  # order kept too
-                assert kept == [p for p in every if sum(map(floors.get, p)) <= budget], case
-                accepted = {p for p in every if _refine(adj, p, budget, shape, shatters)}
-                assert accepted <= set(kept), case
+                kept = list(_connected_partitions(full, adj, lambda: budget))
+                want = [p for p in every if sum(x.bit_count() - 1 for x in p) <= budget]
+                assert kept == want, (sorted(g.edges), budget)
                 dropped += len(every) - len(kept)
         assert dropped > 0
 
 
 class TestColoringLemma:
-    """Why exhaustive mode checks no partition's colors: refine a connected
-    partition P into bags with quotient excess x.  The graph H of touching
-    parts has excess <= x, so the coloring lemma colors it with
-    palette_size(x) colors, and each vertex taking its part's color gives
-    back P as the monochromatic components."""
+    """Why colorings reach every partition, the reason random and family
+    modes are complete: refine a connected partition P into bags with
+    quotient excess x.  The graph H of touching parts has excess <= x, so
+    the coloring lemma colors it with palette_size(x) colors, and each
+    vertex taking its part's color gives back P as the monochromatic
+    components."""
 
     def test_every_partition_is_realized_within_its_witness_palette(self):
-        for g in TestPrefixCut.graphs():
+        for g in TestBudgetCut.graphs():
             idx = mask_index(g)
             shape, shatters = cache(partial(_shape, idx.adj)), {}
-            for parts in _connected_partitions((1 << g.n) - 1, idx.adj):
+            for parts in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n):
                 bags, _ = _refine(idx.adj, parts, g.n, shape, shatters)
                 x = _quotient_excess(idx.adj, bags)
                 members = [idx.members(p) for p in parts]
@@ -375,6 +368,14 @@ class TestRandomMode:
         assert not oracle_cache.decide(C4, 1, 0)
         for seed in range(200):
             assert solve(Instance(C4, 1, 0), RandomColorings(seed=seed, iterations=6)) is None
+
+
+class TestDefaultIterations:
+    def test_a_huge_k_stops_at_ten_times_the_palette_power(self):
+        # q = 2 at ell = 0: 10 * 2^4 = 160, without computing 2^(6 * 10^9)
+        start = time.perf_counter()
+        assert default_iterations(4, 10**9, 0) == 160
+        assert time.perf_counter() - start < 0.1
 
 
 class TestFamilyMode:
