@@ -52,7 +52,6 @@ from .solver import (
     RandomColorings,
     classify_component,
     monochromatic_components,
-    refine_coloring,
     solve,
     solve_2connected,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "partition_hir",
     "path_graph",
     "quotient",
-    "refine_coloring",
     "size_bound",
     "solution_edges",
     "solve",

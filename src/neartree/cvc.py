@@ -90,12 +90,6 @@ class Shatter:
     singletons: frozenset[int]
 
 
-def boundary(g: Graph, x: Iterable[int]) -> frozenset[int]:
-    """Vertices of x with at least one neighbor outside x."""
-    idx = mask_index(g)
-    return idx.members(_boundary(idx.adj, idx.mask(x)))
-
-
 def min_shatter(g: Graph, x: Iterable[int], budget: int) -> Shatter | None:
     """Minimum shatter of x: the smallest connected vertex cover of G[x] that
     contains all boundary vertices of x (a single vertex is its own core)."""

@@ -39,18 +39,19 @@ follows the graph's shape, not its ids.  A coloring enters as its color classes
 bag reach masks.  A part's shape (a path, or shattered) is worked out once
 per scan; only whether a path contracts depends on the other parts.  The
 set-based public functions (`monochromatic_components`,
-`classify_component`, `refine_coloring`) are thin adapters over that core.
+`classify_component`) are thin adapters over that core.
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
 Completeness of exhaustive mode: by the lemma every bag of two or more
 vertices of a cheapest witness lies among the live vertices, and each bag is
 connected, so the witness is a connected partition of the live vertices plus
-frozen singletons.  The scan offers every such partition within the budget,
+frozen singletons.  The scan offers every such partition of every block,
 at cost t - #parts for t live vertices, and drops a prefix of parts once its
-cost passes the budget.  It covers each block of at most
-EXHAUSTIVE_VERTEX_CAP live vertices; a larger one takes the seed-0 universal
-family for that count, built when first scanned.
+cost passes the budget, which only falls during a scan, or its parts alone
+span cycle rank above ell: the quotient of a prefix is an induced subgraph
+of the whole quotient, so nothing dropped could fill a profile entry.  A
+scan that weighs more than SCAN_WORK_CAP parts and partitions is refused.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
+from math import comb
 
 from .cvc import shatter_core
 from .errors import InputError, SizeCapError
-from .families import coloring_family
 from .graph import (
     Graph,
     Instance,
@@ -77,9 +78,9 @@ from .graph import (
     palette_size,
     reach,
 )
-from .witness import ContractionSolution, WitnessStructure, certify, quotient, solution_edges
+from .witness import ContractionSolution, WitnessStructure, certify, solution_edges
 
-EXHAUSTIVE_VERTEX_CAP = 10  # above it, exhaustive mode takes a universal family
+SCAN_WORK_CAP = 1 << 20  # candidate parts plus partitions one block's exhaustive scan weighs
 RANDOM_DEFAULT_CAP = 1 << 16  # default colorings per block; an explicit count is never capped
 
 
@@ -98,9 +99,8 @@ class RandomColorings:
 
 @dataclass(frozen=True)
 class ExhaustiveColorings:
-    """The complete mode; see `_witnesses`."""
-    # (n, k, ell) -> FamilyColorings, so blocks of one size share one build
-    families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """The complete mode: every block's connected partitions, each offered as
+    itself (see `_witnesses`)."""
 
 
 @dataclass(frozen=True)
@@ -306,55 +306,68 @@ def _quotient_excess(adj: tuple[int, ...], bags: list[int]) -> int:
     return pairs - len(bags) + 1
 
 
-def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int,
-                    ) -> tuple[WitnessStructure, int] | None:
-    """Witness structure extracted from one coloring, or None if it costs more
-    than k or its quotient is not within excess ell of a tree."""
-    idx, parts = _coloring_parts(g, coloring)
-    refined = _refine(idx.adj, parts, k, partial(_shape, idx.adj), {})
-    if refined is None:
-        return None
-    structure = WitnessStructure.of(map(idx.members, refined[0]))
-    return (structure, refined[1]) if is_near_tree(quotient(g, structure), ell) else None
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of connected partitions
 
-def _connected_blocks_with_min(rest: int, adj: tuple[int, ...]) -> list[int]:
-    """All connected subsets of `rest` containing its lowest bit."""
-    low = rest & -rest
-    others = rest ^ low
+def _connected_parts(adj: tuple[int, ...], rest: int, size: int) -> list[tuple[int, int]]:
+    """(part, its neighbours outside it) for each connected subset of `rest`
+    holding its lowest vertex and at most `size` vertices, by part mask, each
+    grown once: the branches after the one that takes a neighbour bar it."""
     out = []
-    sub = others
-    while True:
-        cand = sub | low
-        if is_connected_mask(adj, cand):
-            out.append(cand)
-        if sub == 0:
-            break
-        sub = (sub - 1) & others
+
+    def grow(part: int, near: int, barred: int, room: int) -> None:
+        out.append((part, near))
+        free = near & rest & ~barred if room else 0
+        while free:
+            v = free & -free
+            grow(part | v, (near | adj[v.bit_length() - 1]) & ~(part | v), barred, room - 1)
+            barred |= v
+            free ^= v
+
+    low = rest & -rest
+    grow(low, adj[low.bit_length() - 1], 0, size - 1)
     return sorted(out)
 
 
-def _connected_partitions(rest: int, adj: tuple[int, ...], budget, blocks: dict | None = None,
-                          spent: int = 0):
-    """Partitions of `rest` into connected blocks (as masks, by lowest
-    vertex), lazily, dropping a prefix once its cost, the sum of |block| - 1,
-    passes budget(): exact, as cost only grows along a prefix and the budget
-    only falls during a scan.  `blocks` keeps each remaining mask's blocks
-    for the scan."""
-    if not rest:
-        yield ()
-        return
-    blocks = {} if blocks is None else blocks
-    if rest not in blocks:
-        blocks[rest] = _connected_blocks_with_min(rest, adj)
-    for block in blocks[rest]:
-        total = spent + block.bit_count() - 1
-        if total <= budget():
-            for tail in _connected_partitions(rest ^ block, adj, budget, blocks, total):
-                yield (block, *tail)
+def _connected_partitions(full: int, adj: tuple[int, ...], budget, ell: int):
+    """Partitions of a non-empty `full` into connected parts (masks, by lowest
+    vertex), lazily and in mask order, each with its adjacent pairs of parts.
+    A part holds at most budget() - spent + 1 vertices, spent the cost of
+    the parts before it, and a prefix goes once its parts have more than
+    ell + |prefix| - 1 adjacent pairs: both cuts are exact (module
+    docstring).  Parts are listed once per (remaining mask, size bound).
+    Past SCAN_WORK_CAP parts, counted before each listing, and partitions
+    yielded, SizeCapError."""
+    work = 0
+    listed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+
+    def weigh(amount: int) -> None:
+        nonlocal work
+        work += amount
+        if work > SCAN_WORK_CAP:
+            raise SizeCapError(f"a block of {full.bit_count()} vertices on short cycles passes the "
+                               f"exhaustive scan's work cap of {SCAN_WORK_CAP} parts and partitions")
+
+    def extend(rest: int, prefix: tuple[int, ...], pairs: int, spent: int):
+        size = min(budget() - spent + 1, rest.bit_count())
+        if (parts := listed.get((rest, size))) is None:
+            weigh(sum(comb(rest.bit_count() - 1, j) for j in range(size)))
+            parts = listed[rest, size] = _connected_parts(adj, rest, size)
+        room = ell + len(prefix) - pairs  # adjacent pairs the next part may add
+        for part, near in parts:
+            touching = 0
+            for p in prefix:
+                if p & near:
+                    touching += 1
+            cost = spent + part.bit_count() - 1
+            if cost <= budget() and touching <= room:
+                if part == rest:
+                    weigh(1)
+                    yield prefix + (part,), pairs + touching
+                else:
+                    yield from extend(rest ^ part, prefix + (part,), pairs + touching, cost)
+
+    return extend(full, (), 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +375,21 @@ def _connected_partitions(rest: int, adj: tuple[int, ...], budget, blocks: dict 
 
 def _witnesses(adj: tuple[int, ...], t: int, frozen: tuple[int, ...], k: int, ell: int,
                mode, budget):
-    """Witnesses (bags as masks, cost) the mode proposes for a block whose t
-    live vertices come first in its index, each followed by the `frozen`
-    singletons of the others, none dearer than budget().  Exhaustive mode
-    offers every connected partition of the live vertices as itself when t
-    is within EXHAUSTIVE_VERTEX_CAP (see the module docstring); above it,
-    where the scan explodes if dense, it takes the seed-0 universal family
-    for t.  A coloring's components are refined into a witness.  Family
-    functions color the live vertices by rank, so the domain bounds t."""
+    """Witnesses (bags as masks, cost, quotient excess) the mode proposes for
+    a block whose t live vertices come first in its index, each followed by
+    the `frozen` singletons of the others, none free and none dearer than
+    budget().  Exhaustive mode offers each connected partition of the live
+    vertices as itself (see the module docstring); with none frozen, the
+    scan's pair count gives its quotient excess.  A coloring's components
+    are refined into a witness.  Family functions color the live vertices
+    by rank, so the domain bounds t."""
     if isinstance(mode, ExhaustiveColorings):
-        if t <= EXHAUSTIVE_VERTEX_CAP:
-            for parts in _connected_partitions((1 << t) - 1, adj, budget):
-                yield parts + frozen, t - len(parts)
-            return
-        if (t, k, ell) not in mode.families:
-            try:
-                functions = coloring_family(t, k, ell).functions
-            except SizeCapError as exc:
-                raise SizeCapError(f"a block of {t} vertices on short cycles is above the "
-                                   f"exhaustive scan's cap of {EXHAUSTIVE_VERTEX_CAP}, and its "
-                                   f"universal family is refused: {exc}") from None
-            mode.families[t, k, ell] = FamilyColorings(functions, t)
-        mode = mode.families[t, k, ell]
+        for parts, pairs in _connected_partitions((1 << t) - 1, adj, budget, ell):
+            if len(parts) < t:
+                bags = parts + frozen
+                yield bags, t - len(parts), (_quotient_excess(adj, bags) if frozen
+                                             else pairs - len(parts) + 1)
+        return
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)
         rng = random.Random(mode.seed)
@@ -399,8 +405,8 @@ def _witnesses(adj: tuple[int, ...], t: int, frozen: tuple[int, ...], k: int, el
     shape, shatters = cache(partial(_shape, adj)), {}
     for parts in _distinct(_components(adj, c) for c in classes):
         refined = _refine(adj, parts + frozen, budget(), shape, shatters)
-        if refined is not None:
-            yield refined
+        if refined is not None and refined[1]:
+            yield *refined, _quotient_excess(adj, refined[0])
 
 
 def _live(adj: tuple[int, ...], length: int) -> int:
@@ -465,10 +471,7 @@ def _block_profile(b: Graph, rank, k: int, ell: int, mode, prev: list, first_hit
                          "on short cycles")
     idx = mask_index(b, lambda u: (u not in members, rank(u)))  # the live vertices first
     frozen = tuple(1 << i for i in range(t, b.n))
-    for bags, cost in _witnesses(idx.adj, t, frozen, k, ell, mode, budget):
-        if cost == 0:
-            continue  # the all-singletons witness, offered first
-        x = _quotient_excess(idx.adj, bags)
+    for bags, cost, x in _witnesses(idx.adj, t, frozen, k, ell, mode, budget):
         if (x <= ell and (best[x] is None or cost < best[x][0])
                 and offer(cost, x, WitnessStructure.of(map(idx.members, bags)))):
             break

@@ -366,6 +366,14 @@ def subdivided_k33() -> Graph:
                            {(a, b): 2 for a in (1, 2, 3) for b in (4, 5, 6)})
 
 
+def hypercube(d: int) -> Graph:
+    """The d-cube on 1..2^d: two vertices are adjacent when their ids minus
+    one differ in one bit.  Bipartite, girth 4, every vertex on a 4-cycle."""
+    return Graph.build(range(1, 2 ** d + 1), [(u + 1, (u | 1 << b) + 1)
+                                              for u in range(2 ** d) for b in range(d)
+                                              if not u >> b & 1])
+
+
 def girth(g: Graph) -> float:
     """Length of a shortest cycle (inf for a forest): for each edge (u, v),
     one more than the distance from u to v without it."""

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import connected_graphs
 
-from neartree.cvc import boundary, min_connected_vertex_cover, min_shatter
+from neartree.cvc import _boundary, min_connected_vertex_cover, min_shatter
 from neartree.errors import InputError
-from neartree.graph import Graph, cycle_graph, path_graph, star_graph
+from neartree.graph import Graph, cycle_graph, mask_index, path_graph, star_graph
 
 
 def brute_cvc(g: Graph, budget: int) -> frozenset | None:
@@ -105,6 +105,7 @@ class TestShatter:
         for seed in range(30):
             g = random_connected(7, 0.4, 100 + seed)
             comp = min(g.components(), key=min)
+            idx = mask_index(g)
             for size in (2, 3, 4):
                 for sub in combinations(sorted(comp), size):
                     subset = frozenset(sub)
@@ -114,7 +115,7 @@ class TestShatter:
                     inner = g.subgraph(subset)
                     assert g.subgraph(sh.core).is_connected() or len(sh.core) == 1
                     assert all(u in sh.core or v in sh.core for u, v in inner.edges)
-                    assert boundary(g, subset) <= sh.core
+                    assert idx.members(_boundary(idx.adj, idx.mask(subset))) <= sh.core
 
     def test_matches_brute_on_all_small_graphs(self):
         for n in range(1, 7):
@@ -134,6 +135,7 @@ class TestShatter:
 
     def test_foreign_vertex_is_an_input_error(self):
         g = cycle_graph([1, 2, 3, 4, 5])
-        for call in (lambda: min_shatter(g, {1, 99}, 2), lambda: boundary(g, {99})):
+        idx = mask_index(g)
+        for call in (lambda: min_shatter(g, {1, 99}, 2), lambda: _boundary(idx.adj, idx.mask({99}))):
             with pytest.raises(InputError, match="vertex 99 is not in the graph"):
                 call()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, subdivided_k33, three_long_runs
+from helpers import connected_graphs, hypercube, subdivided_k33, three_long_runs
 
 import neartree
 from neartree.errors import ParseError
@@ -512,9 +512,9 @@ class TestCli:
         assert "result decision=no cost=2 mode=derand" in capsys.readouterr().out
 
     def test_derand_matches_the_oracle_on_random_graphs(self, tmp_path, capsys):
-        # every block here is within the exhaustive cap, so derand takes the
-        # partition scan; at (1, 0) a block of more than 6 vertices is also
-        # decided with the greedy family for it from a family file
+        # derand takes the partition scan of every block; at (1, 0) a block
+        # of more than 6 vertices is also decided with the greedy family for
+        # it from a family file
         src, out, fam_file = tmp_path / "g.graph", tmp_path / "witness.txt", tmp_path / "fam.txt"
         family_legs = 0
         for n in range(4, 9):
@@ -570,34 +570,37 @@ class TestCli:
                         found.add((want, code))
         assert found == {(True, 0), (True, 1), (False, 1)}  # some yes instances are missed
 
-    def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys, monkeypatch):
-        # C14 with chord 1-8 (girth 8) and the wheel of a hub and a 10-cycle:
-        # one block above the exhaustive cap each.  At k = 3 no cycle of
-        # C14's is short enough to lower its excess, so it is decided with no
-        # family built; all 11 of the wheel's vertices lie on triangles, so
-        # derand scans them with the 11-vertex family
-        import neartree.solver as solver_module
-
+    @staticmethod
+    def _count_family_builds(monkeypatch) -> list:
+        """Record every universal family a solve asks `families` for."""
         builds = []
 
         def counted(n, k, ell, seed=0):
-            builds.append((n, k, ell))
+            builds.append((n, k, ell, seed))
             return coloring_family(n, k, ell, seed=seed)
 
-        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        monkeypatch.setattr(neartree.families, "coloring_family", counted)
+        return builds
+
+    def test_derand_decides_a_block_above_the_exhaustive_cap(self, tmp_path, capsys, monkeypatch):
+        # C14 with chord 1-8 (girth 8) and the wheel of a hub and a 10-cycle:
+        # one block of more than 10 vertices each.  At k = 3 no cycle of
+        # C14's is short enough to lower its excess, so it is decided with no
+        # scan; all 11 of the wheel's vertices lie on triangles, so derand
+        # scans them, with no universal family built for either
+        builds = self._count_family_builds(monkeypatch)
         c14_chord = Graph.build(range(1, 15), list(cycle_graph(range(1, 15)).edges) + [(1, 8)])
         wheel = Graph.build(range(1, 12), list(cycle_graph(range(2, 12)).edges)
                             + [(1, v) for v in range(2, 12)])
         src = tmp_path / "g.graph"
-        for g, k, built in ((c14_chord, 3, []), (wheel, 2, [(11, 2, 0)])):
+        for g, k in ((c14_chord, 3), (wheel, 2)):
             src.write_text(serialize_graph(g))
             assert not exact_decide(Instance(g, k, 0))
-            builds.clear()
             assert main(["--mode", "derand", "--k", str(k), "--ell", "0", "--in", str(src)]) == 1
             captured = capsys.readouterr()
             assert f"result decision=no cost={k + 1} mode=derand" in captured.out
             assert captured.err == ""
-            assert builds == built, g.n
+            assert builds == [], g.n
 
     def test_derand_decides_early_exits_without_a_family(self, tmp_path, capsys):
         # C12 and C11 are already within excess ell, and at k <= 0 nothing is
@@ -617,9 +620,9 @@ class TestCli:
 
     def test_derand_scans_blocks_within_the_cap_without_a_family(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # with every family build refused, derand still decides these: each
-        # block is within the exhaustive cap, or (a diamond beside a C12 at
-        # k = ell = 1) the one above it is decided before its scan
+        # with every family build refused, derand still decides these: it
+        # scans each block, and (a diamond beside a C12 at k = ell = 1)
+        # decides the C12 before any scan
         def refuse(*args, **kwargs):
             raise AssertionError("derand built a family")
 
@@ -686,8 +689,8 @@ class TestCli:
         return printed
 
     def test_exhaustive_and_derand_print_the_same_answer(self, tmp_path, capsys):
-        # within the exhaustive cap both modes run the same scan on the same
-        # shape order, so they print the same line (mode= aside) and witness
+        # both modes run the same scan on the same shape order, so they print
+        # the same line (mode= aside) and witness
         src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
         yes = 0
         for seed in range(16):
@@ -701,44 +704,43 @@ class TestCli:
         assert yes > 0
 
     def test_chorded_cycles_above_the_cap_match_the_oracle(self, tmp_path, capsys):
-        # C11-C14 with 1-3 seeded chords: one block above the scan's cap each,
-        # with few enough vertices on short cycles to scan them.  Exhaustive
-        # and derand mode print the same line (mode= aside) and witness, and
-        # the oracle agrees with their decision
-        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
-        decided = set()
+        # C11-C14 with 1-3 seeded chords, K2,9 with its hub edge and the
+        # wheel of a hub and a 10-cycle: one block of more than 10 vertices
+        # each, the last two with all 11 on triangles.  Exhaustive and derand
+        # mode print the same line (mode= aside) and witness, and the oracle
+        # agrees with their decision
+        graphs = []
         for n in range(11, 15):
             for copy in range(2):
                 rng = random.Random(f"chorded/{n}/{copy}")
                 edges = set(cycle_graph(range(1, n + 1)).edges)
                 while len(edges) < n + 1 + copy + n % 2:
                     edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
-                g = Graph.build(range(1, n + 1), edges)
-                src.write_text(serialize_graph(g))
-                for k in (1, 2):
-                    for ell in (0, 1):
-                        printed = self._exhaustive_and_derand(src, out, k, ell, capsys)
-                        case = (sorted(edges), k, ell)
-                        assert printed[0] == printed[1], (case, printed)
-                        assert printed[0][0] == (0 if exact_decide(Instance(g, k, ell)) else 1), case
-                        decided.add(printed[0][0])
+                graphs.append(Graph.build(range(1, n + 1), edges))
+        graphs.append(Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2)
+                                                             for v in range(3, 12)]))
+        graphs.append(Graph.build(range(1, 12), list(cycle_graph(range(2, 12)).edges)
+                                  + [(1, v) for v in range(2, 12)]))
+        src, out = tmp_path / "g.graph", tmp_path / "witness.txt"
+        decided = set()
+        for g in graphs:
+            src.write_text(serialize_graph(g))
+            for k in (1, 2):
+                for ell in (0, 1):
+                    printed = self._exhaustive_and_derand(src, out, k, ell, capsys)
+                    case = (sorted(g.edges), k, ell)
+                    assert printed[0] == printed[1], (case, printed)
+                    assert printed[0][0] == (0 if exact_decide(Instance(g, k, ell)) else 1), case
+                    decided.add(printed[0][0])
         assert decided == {0, 1}
 
     def test_exhaustive_and_derand_agree_above_the_cap(self, tmp_path, capsys, monkeypatch):
-        # one block with 11 vertices on triangles each, above the scan's cap,
-        # so both modes scan it with the seed-0 family: K2,9 with its hub
-        # edge is a yes at (1, 0), the wheel of a hub and a 10-cycle a
-        # certified no at (2, 0).  Both print the same line (mode= aside) and
-        # witness, and --seed changes neither
-        import neartree.solver as solver_module
-
-        builds = []
-
-        def counted(n, k, ell, seed=0):
-            builds.append((n, k, ell, seed))
-            return coloring_family(n, k, ell, seed=seed)
-
-        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        # one block with 11 vertices on triangles each, which both modes
+        # scan with no universal family: K2,9 with its hub edge is a yes at
+        # (1, 0), the wheel of a hub and a 10-cycle a certified no at (2, 0).
+        # Both print the same line (mode= aside) and witness, and --seed
+        # changes neither
+        builds = self._count_family_builds(monkeypatch)
         k29_hub = Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 12)])
         wheel = Graph.build(range(1, 12), list(cycle_graph(range(2, 12)).edges)
                             + [(1, v) for v in range(2, 12)])
@@ -749,11 +751,10 @@ class TestCli:
             witnesses = set()
             for mode in ("exhaustive", "derand"):
                 for seed in ("0", "7"):
-                    builds.clear()
                     assert main(["--mode", mode, "--k", str(k), "--ell", "0", "--in", str(src),
                                  "--out", str(out), "--seed", seed]) == code, (g.n, mode, seed)
                     printed = capsys.readouterr()
-                    assert printed.err == "" and builds == [(g.n, k, 0, 0)], (g.n, mode, seed)
+                    assert printed.err == "" and builds == [], (g.n, mode, seed)
                     assert printed.out.replace(f" mode={mode} seed={seed}", "") == line
                     if code == 0:
                         witnesses.add(out.read_text())
@@ -838,18 +839,22 @@ class TestCli:
         # to matter, so the scanning modes answer and exhaustive and derand
         # mode agree.  K2,9 with its hub edge has all 11 vertices on
         # triangles: random mode's default would be 10 * 4^11 colorings, so
-        # it is refused; each mode answers or exits 2
+        # it is refused, while exhaustive and derand mode scan it.  The
+        # 5-cube at (5, 30) passes the scan's work cap.  Each mode answers or
+        # exits 2
         c30 = Graph.build(range(1, 31), list(cycle_graph(range(1, 31)).edges)
                           + [(1, 4), (8, 23), (12, 27)])
         k29_hub = Graph.build(range(1, 12), [(1, 2)] + [(h, v) for h in (1, 2) for v in range(3, 12)])
+        every = ("exact", "rand", "exhaustive", "derand", "kernel")
         errors, decisions = {}, {}
-        for name, g in (("c30", c30), ("k29", k29_hub)):
+        for name, g, k, ell, modes in (("c30", c30, 2, 1, every), ("k29", k29_hub, 2, 1, every),
+                                       ("q5", hypercube(5), 5, 30, ("exhaustive", "derand"))):
             src = tmp_path / f"{name}.graph"
             src.write_text(serialize_graph(g))
-            for mode in ("exact", "rand", "exhaustive", "derand", "kernel"):
+            for mode in modes:
                 proc = subprocess.run(
                     [sys.executable, "-m", "neartree.harness", "--mode", mode,
-                     "--k", "2", "--ell", "1", "--in", str(src)],
+                     "--k", str(k), "--ell", str(ell), "--in", str(src)],
                     capture_output=True, text=True, env=self._child_env(), timeout=10)
                 if proc.returncode == 2:
                     assert proc.stdout == "" and proc.stderr.startswith("error: "), (
@@ -860,23 +865,37 @@ class TestCli:
                     decisions[name, mode] = proc.stdout.split()[1]
         assert decisions["c30", "exhaustive"] == decisions["c30", "derand"]
         assert "give --iters" in errors["k29", "rand"]
-        # exhaustive and derand mode take a universal family for K2,9's
-        # block, which GREEDY_CAP refuses: one error line that names the block
+        # K2,9 has 19 edges, so the oracle decides it too
+        assert decisions["k29", "exhaustive"] == decisions["k29", "derand"] == decisions["k29", "exact"]
+        # the work cap refuses the 5-cube: one error line that names the block
         for mode in ("exhaustive", "derand"):
-            err = errors["k29", mode]
+            err = errors["q5", mode]
             assert err.count("\n") == 1 and "Traceback" not in err, mode
-            assert err.startswith("error: a block of 11 vertices on short cycles is above the "
-                                  "exhaustive scan's cap of 10, and its universal family is "
-                                  "refused: "), (mode, err)
+            assert err.startswith("error: a block of 32 vertices on short cycles passes the "
+                                  "exhaustive scan's work cap of 1048576 "), (mode, err)
         # an explicit count is never capped
         assert main(["--mode", "rand", "--k", "2", "--ell", "1", "--in", str(tmp_path / "k29.graph"),
                      "--iters", "5"]) == 0
         assert capsys.readouterr().out.startswith("result decision=yes")
 
+    def test_the_scan_work_cap_is_an_error_exit(self, tmp_path, capsys):
+        # the 5-cube at (5, 30): all 32 vertices lie on 4-cycles, and the
+        # scan passes its work cap, so each complete mode exits 2 with one
+        # error line and writes no witness
+        src, out = tmp_path / "q5.graph", tmp_path / "witness.txt"
+        src.write_text(serialize_graph(hypercube(5)))
+        for mode in ("exhaustive", "derand"):
+            assert main(["--mode", mode, "--k", "5", "--ell", "30", "--in", str(src),
+                         "--out", str(out)]) == 2, mode
+            printed = capsys.readouterr()
+            assert printed.out == "" and not out.exists(), mode
+            assert printed.err == ("error: a block of 32 vertices on short cycles passes the "
+                                   "exhaustive scan's work cap of 1048576 parts and partitions\n")
+
     def test_blocks_above_the_caps_are_decided_by_the_floor(self, tmp_path):
         # K3,3 with every edge subdivided twice (girth 12) and C2000 with chord
-        # 1-1000 (girth 1000): one block above every scan cap each, with no
-        # cycle short enough for k = 1 to lower its excess.  Each mode decides
+        # 1-1000 (girth 1000): one large block each, with no cycle short
+        # enough for k = 1 to lower its excess.  Each mode decides
         # without a scan, quickly on C2000 only if the cycle search is bounded
         c2000 = Graph.build(range(1, 2001), list(cycle_graph(range(1, 2001)).edges) + [(1, 1000)])
         for name, g in (("k33", subdivided_k33()), ("c2000", c2000)):

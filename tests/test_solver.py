@@ -11,12 +11,13 @@ from helpers import (
     connected_partitions_brute,
     girth,
     glue_blocks,
+    hypercube,
     quotient_reference,
     shortest_cycle_through,
     subdivided_k33,
 )
 
-from neartree.errors import InputError, InternalError
+from neartree.errors import InputError, InternalError, SizeCapError
 from neartree.families import coloring_family
 from neartree.graph import (
     Graph,
@@ -47,7 +48,6 @@ from neartree.solver import (
     classify_component,
     default_iterations,
     monochromatic_components,
-    refine_coloring,
     solve,
     solve_2connected,
 )
@@ -120,14 +120,26 @@ class TestClassification:
 
 
 class TestRefine:
+    @staticmethod
+    def refine_coloring(g: Graph, coloring: dict[int, int], k: int, ell: int):
+        """The witness `_refine` makes of one coloring's components on g's
+        mask index, with its cost, or None when it costs more than k or its
+        quotient excess (`_quotient_excess`) passes ell."""
+        idx = mask_index(g)
+        parts = tuple(idx.mask(c) for c in monochromatic_components(g, coloring))
+        refined = _refine(idx.adj, parts, k, partial(_shape, idx.adj), {})
+        if refined is None or _quotient_excess(idx.adj, refined[0]) > ell:
+            return None
+        return WitnessStructure.of(map(idx.members, refined[0])), refined[1]
+
     def test_c4_free_pass(self):
-        res = refine_coloring(C4, {1: 1, 2: 2, 3: 1, 4: 2}, k=0, ell=1)
+        res = self.refine_coloring(C4, {1: 1, 2: 2, 3: 1, 4: 2}, k=0, ell=1)
         assert res is not None
         structure, cost = res
         assert cost == 0 and all(len(b) == 1 for b in structure.bags)
 
     def test_c4_three_one_split(self):
-        res = refine_coloring(C4, {1: 1, 2: 1, 3: 1, 4: 2}, k=2, ell=0)
+        res = self.refine_coloring(C4, {1: 1, 2: 1, 3: 1, 4: 2}, k=2, ell=0)
         assert res is not None
         structure, cost = res
         assert cost == 2
@@ -136,11 +148,11 @@ class TestRefine:
 
     def test_contract_all_components_count_against_the_budget(self):
         # both C5 arcs contract whole (3 contractions); the quotient is a tree
-        assert refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=3, ell=0)[1] == 3
-        assert refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=2, ell=0) is None
+        assert self.refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=3, ell=0)[1] == 3
+        assert self.refine_coloring(C5, {1: 1, 2: 1, 3: 1, 4: 2, 5: 2}, k=2, ell=0) is None
 
     def test_c4_rainbow_fails_for_tree_target(self):
-        res = refine_coloring(C4, {1: 1, 2: 2, 3: 3, 4: 4}, k=2, ell=0)
+        res = self.refine_coloring(C4, {1: 1, 2: 2, 3: 3, 4: 4}, k=2, ell=0)
         assert res is None
 
 
@@ -162,7 +174,7 @@ class TestPartitionEnumeration:
     def by_masks(g: Graph, q: int) -> set:
         idx = mask_index(g)
         return {frozenset(map(idx.members, masks))
-                for masks in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n)
+                for masks, _ in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n, g.m)
                 if _block_chromatic(masks, idx.adj) <= q}
 
     def test_matches_all_colorings(self):
@@ -175,8 +187,11 @@ class TestPartitionEnumeration:
 class TestBudgetCut:
     """Exhaustive scans offer each connected partition as its own witness
     and drop a prefix of parts once its cost, the sum of |part| - 1, passes
-    the budget: exactly the partitions dearer than the budget go, and the
-    rest keep their order."""
+    the budget, or once its parts have more than ell + |prefix| - 1 adjacent
+    pairs.  With no excess cut (ell = m) exactly the partitions dearer than
+    the budget go; with it, exactly those with a prefix past either floor,
+    which leaves every partition within the budget and ell.  The rest keep
+    their order, each with its number of adjacent pairs of parts."""
 
     @staticmethod
     def graphs() -> list[Graph]:
@@ -196,13 +211,55 @@ class TestBudgetCut:
         for g in self.graphs():
             adj = mask_index(g).adj
             full = (1 << g.n) - 1
-            every = list(_connected_partitions(full, adj, lambda: g.n))
+            every = [p for p, _ in _connected_partitions(full, adj, lambda: g.n, g.m)]
             for budget in range(4):
-                kept = list(_connected_partitions(full, adj, lambda: budget))
+                kept = [p for p, _ in _connected_partitions(full, adj, lambda: budget, g.m)]
                 want = [p for p in every if sum(x.bit_count() - 1 for x in p) <= budget]
                 assert kept == want, (sorted(g.edges), budget)
                 dropped += len(every) - len(kept)
         assert dropped > 0
+
+    @staticmethod
+    def floors(g: Graph, members: list) -> tuple[list[tuple[int, int]], int]:
+        """(cost, adjacent pairs) of each prefix of a partition's parts, and
+        the excess of its quotient."""
+        part_of = {v: i for i, p in enumerate(members) for v in p}
+        touching = {tuple(sorted((part_of[u], part_of[v]))) for u, v in g.edges
+                    if part_of[u] != part_of[v]}
+        prefixes = [(sum(len(p) - 1 for p in members[:i + 1]), sum(1 for _, j in touching if j <= i))
+                    for i in range(len(members))]
+        return prefixes, excess(quotient_reference(g, WitnessStructure.of(members)))
+
+    def test_keeps_exactly_the_prefixes_within_both_floors_in_order(self):
+        cut = 0
+        for g in (g for n in range(3, 7) for g in connected_graphs(n)):
+            idx = mask_index(g)
+            full = (1 << g.n) - 1
+            every = list(_connected_partitions(full, idx.adj, lambda: g.n, g.m))
+            scored = [self.floors(g, [idx.members(x) for x in parts]) for parts, _ in every]
+            assert [pairs for _, pairs in every] == [prefixes[-1][1] for prefixes, _ in scored]
+            for budget in range(4):
+                for ell in range(3):
+                    kept = list(_connected_partitions(full, idx.adj, lambda: budget, ell))
+                    case = (sorted(g.edges), budget, ell)
+                    assert kept == [scan for scan, (prefixes, _) in zip(every, scored)
+                                    if all(cost <= budget and pairs <= ell + i
+                                           for i, (cost, pairs) in enumerate(prefixes))], case
+                    assert {scan for scan, (prefixes, x) in zip(every, scored)
+                            if prefixes[-1][0] <= budget and x <= ell} <= set(kept), case
+                    cut += sum(1 for prefixes, _ in scored if prefixes[-1][0] <= budget) - len(kept)
+        assert cut > 0  # the excess floor drops partitions the budget keeps
+
+    def test_a_dense_block_past_the_work_cap_is_refused(self):
+        # the 5-cube at (5, 30): all 32 vertices lie on 4-cycles and a scan
+        # with five contractions lists far more than SCAN_WORK_CAP parts, so
+        # it is refused, naming the block, before the listing runs long
+        q5 = hypercube(5)
+        start = time.perf_counter()
+        with pytest.raises(SizeCapError, match="^a block of 32 vertices on short cycles passes "
+                                               "the exhaustive scan's work cap of 1048576 "):
+            solve(Instance(q5, 5, 30), ExhaustiveColorings())
+        assert time.perf_counter() - start < 10
 
 
 class TestColoringLemma:
@@ -217,7 +274,7 @@ class TestColoringLemma:
         for g in TestBudgetCut.graphs():
             idx = mask_index(g)
             shape, shatters = cache(partial(_shape, idx.adj)), {}
-            for parts in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n):
+            for parts, _ in _connected_partitions((1 << g.n) - 1, idx.adj, lambda: g.n, g.m):
                 bags, _ = _refine(idx.adj, parts, g.n, shape, shatters)
                 x = _quotient_excess(idx.adj, bags)
                 members = [idx.members(p) for p in parts]
@@ -395,24 +452,21 @@ class TestFamilyMode:
 
 
 class TestDerandMode:
-    def test_blocks_of_one_size_share_one_family_build(self, monkeypatch):
-        # two K2,11 blocks with their hub edge, sharing vertex 1: above the
-        # scan's cap, exhaustive mode scans both with one 13-vertex family
-        # at (k, ell) = (2, 0)
-        import neartree.solver as solver_module
+    def test_large_blocks_are_scanned_with_no_family(self, monkeypatch):
+        # two K2,11 blocks with their hub edge, sharing vertex 1: 13 vertices
+        # on triangles each, and exhaustive mode scans both at (k, ell) =
+        # (2, 0) with every universal family build refused
+        import neartree.families as families_module
 
-        builds = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("a universal family was built")
 
-        def counted(n, k, ell, seed=0):
-            builds.append((n, k, ell))
-            return coloring_family(n, k, ell, seed=seed)
-
-        monkeypatch.setattr(solver_module, "coloring_family", counted)
+        for name in ("coloring_family", "build_universal_greedy"):
+            monkeypatch.setattr(families_module, name, refuse)
         edges = [(1, 2), (1, 14)] + [(h, v) for h in (1, 2) for v in range(3, 14)]
         edges += [(h, v) for h in (1, 14) for v in range(15, 26)]
         sol = solve(Instance(Graph.build(range(1, 26), edges), 2, 0), ExhaustiveColorings())
         assert sol is not None and sol.edges == {(1, 2), (1, 14)}
-        assert builds == [(13, 2, 0)]
 
 
 class TestBlockKnapsack:
