@@ -17,13 +17,17 @@ before any coloring), 2 error.  A yes is checked in
 one place, `witness.certify`, which hands its verified witness on to be
 written; a failed check is an internal error (exit 2, no result line).
 Exhaustive mode and derand mode without a family file run one solver mode,
-`solver.ExhaustiveColorings`, which takes no seed.
+`solver.ExhaustiveColorings`, which takes no seed.  Output files are
+rewritten in place, a regular file cut at the new end, so a failed write
+(exit 2, no result line) may leave old text past the new.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import stat
 import sys
 import traceback
 from dataclasses import dataclass
@@ -339,10 +343,21 @@ def _read(path: str | None) -> str:
         return fh.read()
 
 
+def _need(cfg: RunConfig, *flags: str):
+    """Refuse a mode run without an input file it needs: only an explicit '-'
+    reads stdin there, so an input never given is never read as empty."""
+    for flag in flags:
+        if getattr(cfg, flag) is None:
+            raise InputError(f"--mode {cfg.mode} needs --{flag} ('-' reads stdin)")
+
+
 def _write(path: str | None, text: str):
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+        # no O_TRUNC: emptying a file before a rewrite costs more than cutting it after
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: str = "") -> str:
@@ -404,6 +419,7 @@ def run(cfg: RunConfig) -> int:
         return _emit_solution(cfg, sol, certified)
 
     if cfg.mode == "verify":
+        _need(cfg, "witness")
         g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
         w = parse_witness(_read(cfg.witness))
         check = verify_witness(g, w, cfg.ell, cfg.k)
@@ -424,6 +440,7 @@ def run(cfg: RunConfig) -> int:
         return 1 if decided_no else 0
 
     if cfg.mode == "lift":
+        _need(cfg, "trace", "sol")
         g = parse_graph(_read(cfg.infile))
         k0, ell0, trace = parse_trace(_read(cfg.trace))
         f_reduced = parse_edge_set(_read(cfg.sol))
@@ -480,10 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=None, help="random-mode colorings")
     p.add_argument("--in", dest="infile", default=None, help="input graph ('-' = stdin)")
     p.add_argument("--out", default=None, help="output file (witness / reduced graph / family)")
-    p.add_argument("--trace", default=None, help="kernel trace file")
+    p.add_argument("--trace", default=None, help="kernel trace file (written by kernel, read by lift)")
     p.add_argument("--family-file", default=None, help="family file to load or verify")
-    p.add_argument("--witness", default=None, help="witness file for --mode verify")
-    p.add_argument("--sol", default=None, help="reduced-solution edge list for --mode lift")
+    p.add_argument("--witness", default=None, help="witness file for --mode verify ('-' = stdin)")
+    p.add_argument("--sol", default=None, help="reduced-solution edge list for --mode lift ('-' = stdin)")
     p.add_argument("--kind", default="universal",
                    choices=["interval", "hash", "universal", "compose"],
                    help="family builder for --mode family")

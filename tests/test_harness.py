@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import time
@@ -347,8 +349,8 @@ class TestCli:
         assert "decision=yes" in capsys.readouterr().out
 
     def _kernel_exact_lift(self, tmp_path, g, k, ell, solution=None):
-        """kernel -> exact on the written reduced graph -> lift; returns the
-        lift's exit code and the trace.  `solution` replaces exact's answer."""
+        """kernel -> exact on the written reduced graph -> lift (to lifted.txt);
+        returns the lift's exit code and the trace.  `solution` replaces exact's answer."""
         src, red, tr, sol = (tmp_path / f for f in ("g.graph", "red.graph", "tr.txt", "sol.txt"))
         src.write_text(serialize_graph(g))
         assert main(["--mode", "kernel", "--alpha", "2", "--k", str(k), "--ell", str(ell),
@@ -356,7 +358,8 @@ class TestCli:
         if solution is None:  # the exact rules keep the budget
             solution, _ = exact_opt(parse_graph(red.read_text()), ell, k)
         sol.write_text(serialize_edge_set(solution))
-        code = main(["--mode", "lift", "--in", str(src), "--trace", str(tr), "--sol", str(sol)])
+        code = main(["--mode", "lift", "--in", str(src), "--trace", str(tr), "--sol", str(sol),
+                     "--out", str(tmp_path / "lifted.txt")])
         return code, parse_trace(tr.read_text())[2]
 
     def test_kernel_exact_lift_through_several_runs(self, tmp_path, capsys):
@@ -371,6 +374,90 @@ class TestCli:
                                           solution={(1, 99)})
         assert code == 2
         assert "outside the reduced graph's 1..17" in capsys.readouterr().err
+
+    def test_a_shorter_output_over_a_longer_one_matches_a_fresh_run(self, tmp_path, capsys):
+        # each output is rewritten in place: a file left longer by an earlier
+        # run must end where the new text ends, byte for byte as a fresh file
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        c4 = self._write_c4(tmp_path)
+        big = tmp_path / "big.graph"
+        big.write_text(serialize_graph(self._tree_with_chorded_cycles()))
+        assert main(["--mode", "exhaustive", "--k", "3", "--ell", "3", "--in", str(big),
+                     "--out", str(reused / "w.txt")]) == 0
+        assert self._kernel_exact_lift(reused, three_long_runs(), 2, 3)[0] == 0
+        names = ("w.txt", "red.graph", "tr.txt", "lifted.txt")
+        longer = {name: (reused / name).stat().st_size for name in names}
+        for d in (reused, fresh):
+            assert main(["--mode", "exhaustive", "--k", "2", "--ell", "0", "--in", str(c4),
+                         "--out", str(d / "w.txt")]) == 0
+            assert self._kernel_exact_lift(d, cycle_graph([1, 2, 3, 4]), 1, 1)[0] == 0
+        for name in names:
+            assert (reused / name).stat().st_size < longer[name], name
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+        capsys.readouterr()
+
+    def test_an_out_symlink_is_written_through(self, tmp_path, capsys):
+        g = self._write_c4(tmp_path)
+        target, link, fresh = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "fresh.txt"
+        target.write_text("9 9 9\n" * 100)
+        link.symlink_to(target)
+        for out in (link, fresh):
+            assert main(["--mode", "exact", "--k", "2", "--in", str(g), "--out", str(out)]) == 0
+        assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+        capsys.readouterr()
+
+    def test_an_existing_out_file_keeps_its_inode_and_mode(self, tmp_path, capsys):
+        g, out = self._write_c4(tmp_path), tmp_path / "w.txt"
+        out.write_text("9 9 9\n" * 100)
+        out.chmod(0o600)
+        before = out.stat()
+        assert main(["--mode", "exact", "--k", "2", "--in", str(g), "--out", str(out)]) == 0
+        after = out.stat()
+        assert after.st_ino == before.st_ino and stat.S_IMODE(after.st_mode) == 0o600
+        assert parse_witness(out.read_text()).cost() == 2
+        capsys.readouterr()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_out_to_the_null_device(self, tmp_path, capsys):
+        g = self._write_c4(tmp_path)
+        assert main(["--mode", "exact", "--k", "2", "--in", str(g), "--out", os.devnull]) == 0
+        assert capsys.readouterr().out.startswith("result decision=yes ")
+
+    def test_a_directory_as_out_is_an_error_without_a_result(self, tmp_path, capsys):
+        g = self._write_c4(tmp_path)
+        assert main(["--mode", "exact", "--k", "2", "--in", str(g), "--out", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("error: [Errno ") and printed.err.count("\n") == 1
+
+    def test_lift_and_verify_need_their_input_files(self, tmp_path, capsys, monkeypatch):
+        # an absent --trace, --sol or --witness is an error even with a valid
+        # input on stdin: only an explicit '-' reads stdin for them
+        g = self._write_c4(tmp_path)
+        red, tr, w = tmp_path / "red.graph", tmp_path / "tr.txt", tmp_path / "w.txt"
+        assert main(["--mode", "kernel", "--k", "2", "--in", str(g), "--out", str(red),
+                     "--trace", str(tr)]) == 0
+        assert main(["--mode", "exact", "--k", "2", "--in", str(g), "--out", str(w)]) == 0
+        capsys.readouterr()
+        sol = serialize_edge_set(exact_opt(parse_graph(red.read_text()), 0, 2)[0])
+        witness = w.read_text()
+        verify = ["--mode", "verify", "--k", "2", "--in", str(g)]
+        for argv, stdin, flag in (
+                (["--mode", "lift", "--in", str(g), "--trace", str(tr)], sol, "--sol"),
+                (["--mode", "lift", "--in", str(g), "--sol", "-"], sol, "--trace"),
+                (verify, witness, "--witness")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(argv) == 2, flag
+            assert capsys.readouterr() == (
+                "", f"error: --mode {argv[1]} needs {flag} ('-' reads stdin)\n"), flag
+        for argv, stdin in ((["--mode", "lift", "--in", str(g), "--trace", str(tr), "--sol", "-"], sol),
+                            ([*verify, "--witness", "-"], witness),
+                            (["--mode", "exact", "--k", "2"], g.read_text())):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out.startswith("result decision=yes cost=2 "), argv
 
     def test_kernel_above_the_size_bound_stays_undecided(self, tmp_path, capsys):
         # a complete binary tree on 600 vertices plus the edge 2-3 is a yes at
@@ -762,11 +849,10 @@ class TestCli:
                     assert not out.exists()
             assert len(witnesses) == (1 if code == 0 else 0), witnesses
 
-    def test_large_tree_with_chorded_cycles(self, tmp_path, capsys):
-        # a 2,000-vertex random tree carrying a 6-, a 7- and an 8-cycle, each
-        # with a chord that cuts off a triangle (excess 2 per block).  A
-        # contraction lowers the excess by the common neighbours of its ends,
-        # so only a triangle edge helps: excess 6 -> 3 takes one per block
+    @staticmethod
+    def _tree_with_chorded_cycles() -> Graph:
+        """A 2,000-vertex random tree carrying a 6-, a 7- and an 8-cycle, each
+        with a chord that cuts off a triangle (excess 2 per block)."""
         rng = random.Random(2000)
         edges = [(rng.randint(1, v - 1), v) for v in range(2, 2001)]
         n = 2000
@@ -774,7 +860,12 @@ class TestCli:
             ring = [anchor, *range(n + 1, n + size)]
             n += size - 1
             edges += [*zip(ring, ring[1:] + ring[:1]), (ring[0], ring[2])]
-        g = Graph.build(range(1, n + 1), edges)
+        return Graph.build(range(1, n + 1), edges)
+
+    def test_large_tree_with_chorded_cycles(self, tmp_path, capsys):
+        # a contraction lowers the excess by the common neighbours of its
+        # ends, so only a triangle edge helps: excess 6 -> 3 takes one per block
+        g = self._tree_with_chorded_cycles()
         src, out = tmp_path / "big.graph", tmp_path / "witness.txt"
         src.write_text(serialize_graph(g))
         for mode in ("exhaustive", "derand"):
