@@ -263,32 +263,57 @@ def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, Merge
     return Graph(new_vertices, frozenset(new_edges)), merge
 
 
-def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
-    """The biconnected blocks of g that hold a cycle: every edge outside a
-    bridge lies in exactly one, and bridges and isolated vertices lie in
-    none, so a forest has none.
+def biconnected_blocks(g: Graph) -> tuple[tuple[Graph, ...], int]:
+    """The biconnected blocks of g that hold a cycle, and the number of
+    connected components of g: every edge outside a bridge lies in exactly
+    one block, and bridges and isolated vertices lie in none, so a forest
+    has none.
 
-    One iterative depth-first pass with low points (Hopcroft & Tarjan,
-    "Efficient algorithms for graph manipulation", CACM 1973): when the
+    First the pendant forest is peeled: every vertex of degree <= 1 goes,
+    which may leave its neighbour at degree 1, until only the 2-core is
+    left.  A vertex still of degree 0 when it goes is the last of a tree
+    component.  Every block with a cycle lies in the 2-core, so one
+    iterative depth-first pass with low points over the core alone finds
+    them all (Hopcroft & Tarjan, "Efficient algorithms for graph
+    manipulation", CACM 1973), each root one more component: when the
     subtree of w cannot reach above its parent v, the edges stacked since
     (v, w) form a block, a bridge when (v, w) is the only one.
     """
+    adj = g.adjacency
+    core = {v: len(ns) for v, ns in adj.items()}  # degree among the vertices not yet peeled
+    components = 0
+    peel = [v for v, d in core.items() if d < 2]
+    while peel:
+        v = peel.pop()
+        if core.pop(v) == 0:
+            components += 1
+            continue
+        for w in adj[v]:
+            if w in core:  # the one neighbour left
+                core[w] -= 1
+                if core[w] == 1:
+                    peel.append(w)
+                break
+
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     blocks: list[Graph] = []
-    for root in sorted(g.vertices):
+    for root in sorted(core):
         if root in disc:
             continue
+        components += 1
         disc[root] = low[root] = len(disc)
-        stack = [(root, None, iter(g.adjacency[root]))]
+        stack = [(root, None, iter(adj[root]))]
         edge_stack: list[Edge] = []
         while stack:
             v, parent, todo = stack[-1]
             for w in todo:
+                if w not in core:
+                    continue
                 if w not in disc:
                     disc[w] = low[w] = len(disc)
                     edge_stack.append((v, w))
-                    stack.append((w, v, iter(g.adjacency[w])))
+                    stack.append((w, v, iter(adj[w])))
                     break
                 if w != parent and disc[w] < disc[v]:
                     edge_stack.append((v, w))
@@ -307,7 +332,7 @@ def biconnected_blocks(g: Graph) -> tuple[Graph, ...]:
                         block.append(edge_stack.pop())
                     blocks.append(Graph(frozenset(x for e in block for x in e),
                                         frozenset(edge(*e) for e in block)))
-    return tuple(blocks)
+    return tuple(blocks), components
 
 
 @dataclass(frozen=True)
@@ -323,7 +348,7 @@ def analyze_connectivity(g: Graph) -> ConnectivityReport:
     vertex)."""
     comps = g.components()
     blocks_at = {v: g.degree(v) for v in g.vertices}  # each edge a block, then merged
-    for b in biconnected_blocks(g):
+    for b in biconnected_blocks(g)[0]:
         for v in b.vertices:
             blocks_at[v] -= b.degree(v) - 1
     cuts = frozenset(v for v, count in blocks_at.items() if count >= 2)

@@ -77,22 +77,16 @@ def _records(text: str):
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph text format (module docstring), read in one loop that tests
+    for an edge line first; it skips the blank and comment lines that
+    `_records` skips for the other formats."""
     n = m = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, parts in _records(text):
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 3:
-                raise ParseError("header must be 'p <n> <m>'", lineno)
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("header counts must be integers", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("header counts must be nonnegative", lineno)
-        elif parts[0] == "e":
+    edges: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0] == "e":
             if n is None:
                 raise ParseError("edge before header", lineno)
             if len(parts) != 3:
@@ -105,11 +99,23 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(f"endpoint outside 1..{n}", lineno)
             if u == v:
                 raise ParseError("self-loop", lineno)
-            e = edge(u, v)
-            if e in seen:
+            e = (u, v) if u < v else (v, u)
+            if e in edges:
                 raise ParseError(f"duplicate edge {e}", lineno)
-            seen.add(e)
-            edges.append(e)
+            edges.add(e)
+        elif parts[0][0] == "c":
+            continue
+        elif parts[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(parts) != 3:
+                raise ParseError("header must be 'p <n> <m>'", lineno)
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError("header counts must be integers", lineno) from None
+            if n < 0 or m < 0:
+                raise ParseError("header counts must be nonnegative", lineno)
         else:
             raise ParseError(f"unknown line kind {parts[0]!r}", lineno)
     if n is None:
@@ -351,6 +357,16 @@ def _need(cfg: RunConfig, *flags: str):
             raise InputError(f"--mode {cfg.mode} needs --{flag} ('-' reads stdin)")
 
 
+def _stdin_once(cfg: RunConfig, *flags: str):
+    """Refuse a mode run in which the graph (--in unset or '-') and another
+    input, or two other inputs given as '-', both read stdin: the second
+    would read it empty."""
+    readers = ["--in"] if cfg.infile in (None, "-") else []
+    readers += [f"--{flag.replace('_', '-')}" for flag in flags if getattr(cfg, flag) == "-"]
+    if len(readers) > 1:
+        raise InputError(f"--mode {cfg.mode}: only one input can read stdin, not {' and '.join(readers)}")
+
+
 def _write(path: str | None, text: str):
     if path is not None:
         # no O_TRUNC: emptying a file before a rewrite costs more than cutting it after
@@ -384,7 +400,7 @@ def _certifies_no(fam: FunctionFamily, g: Graph, k: int, ell: int) -> bool:
     min(largest block, 6k + 8 ell) positions or more (and no more than its
     domain, where universality would hold vacuously), and pass verification
     within its cap."""
-    largest = max((b.n for b in biconnected_blocks(g)), default=1)
+    largest = max((b.n for b in biconnected_blocks(g)[0]), default=1)
     if not (fam.kind == UNIVERSAL and fam.q >= palette_size(ell)
             and min(largest, 6 * k + 8 * ell) <= fam.k <= fam.n):
         return False
@@ -401,6 +417,8 @@ def run(cfg: RunConfig) -> int:
         return _emit_solution(cfg, None if res is None else certify(g, res[0], cfg.k, cfg.ell))
 
     if cfg.mode in ("rand", "exhaustive", "derand"):
+        if cfg.mode == "derand":
+            _stdin_once(cfg, "family_file")
         g = parse_graph(_read(cfg.infile))
         if cfg.mode == "rand":
             mode = RandomColorings(cfg.seed, cfg.iters)
@@ -420,6 +438,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.mode == "verify":
         _need(cfg, "witness")
+        _stdin_once(cfg, "witness")
         g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
         w = parse_witness(_read(cfg.witness))
         check = verify_witness(g, w, cfg.ell, cfg.k)
@@ -441,6 +460,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.mode == "lift":
         _need(cfg, "trace", "sol")
+        _stdin_once(cfg, "trace", "sol")
         g = parse_graph(_read(cfg.infile))
         k0, ell0, trace = parse_trace(_read(cfg.trace))
         f_reduced = parse_edge_set(_read(cfg.sol))

@@ -2,14 +2,17 @@
 
 An instance splits exactly into its biconnected blocks: excess adds up over
 blocks, every edge lies in exactly one block, and contraction creates
-parallel edges only inside a block.  One Hopcroft-Tarjan pass finds the
-blocks.  Bridges never need a contraction.  Each other block B gets a cost
-profile c_B(e), the cheapest witness found that brings B to excess <= e for
-e = 0..ell, capped at the budget the earlier blocks leave; a min-plus
-knapsack over the profiles decides the instance, and the union of the
-chosen per-block edge sets is the solution.  The last (largest) block stops
-at the first witness that completes a feasible knapsack, so a graph with one
-block that needs contractions is scanned exactly as a 2-connected instance.
+parallel edges only inside a block.  One pass finds the blocks and the
+number of components: it peels the pendant forest, then runs a
+Hopcroft-Tarjan search on the 2-core that is left, so the tree part of a
+graph is walked once.  Bridges never need a contraction.  Each other
+block B gets a cost profile c_B(e), the cheapest witness found that brings
+B to excess <= e for e = 0..ell, capped at the budget the earlier blocks
+leave; a min-plus knapsack over the profiles decides the instance, and the
+union of the chosen per-block edge sets is the solution.  The last
+(largest) block stops at the first witness that completes a feasible
+knapsack, so a graph with one block that needs contractions is scanned
+exactly as a 2-connected instance.
 
 Within a block, exhaustive mode offers each connected partition the lemma
 below leaves as its own witness; other modes draw vertex colorings with at
@@ -486,20 +489,23 @@ def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
     verified against the instance by `witness.certify`, which raises
     InternalError instead of returning an unchecked yes."""
     g, k, ell = instance.graph, instance.k, instance.ell
-    if k < 0 or not g.is_connected():
+    if k < 0:
+        return None
+    # the blocks leave out bridges, which never need a contraction
+    blocks, components = biconnected_blocks(g)
+    if components != 1:
         return None
     if excess(g) <= ell:
         return certify(g, (), k, ell)
     if k == 0:
         return None
 
-    # the blocks leave out bridges, which never need a contraction; the largest goes last
-    blocks = list(biconnected_blocks(g))
     # shape order: by degree, then the sorted degrees of the neighbours, ties by id
     order = sorted({v for b in blocks for v in b.vertices},
                    key=lambda v: (g.degree(v), sorted(map(g.degree, g.neighbors(v))), v))
     rank = {v: i for i, v in enumerate(order)}.__getitem__
-    blocks.sort(key=lambda b: (b.n, b.m, min(map(rank, b.vertices))))
+    # the largest goes last; two blocks share at most one vertex, so no two tie
+    blocks = sorted(blocks, key=lambda b: (b.n, b.m, sorted(map(rank, b.vertices))))
     cost: list[float] = [0] * (ell + 1)  # cost[j]: fewest contractions, total excess <= j
     picks: list[tuple] = [()] * (ell + 1)  # the (block, witness) pairs behind cost[j]
     for i, b in enumerate(blocks):

@@ -114,17 +114,23 @@ class TestConnectivity:
 
 class TestBlocks:
     def test_a_forest_has_no_blocks(self):
-        assert biconnected_blocks(P4) == ()
-        assert biconnected_blocks(Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)])) == ()
+        assert biconnected_blocks(P4) == ((), 1)
+        assert biconnected_blocks(Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)])) == ((), 2)
 
     def test_every_edge_off_a_bridge_lies_in_one_block(self):
-        for n in range(1, 7):
-            for g in connected_graphs(n):
-                bridges = {e for e in g.edges
-                           if not Graph(g.vertices, g.edges - {e}).is_connected()}
-                blocks = biconnected_blocks(g)
-                assert sum(b.m for b in blocks) == g.m - len(bridges), sorted(g.edges)
-                assert frozenset().union(*(b.edges for b in blocks)) == g.edges - bridges
+        # every edge set on 1-5 vertices (forests, isolated vertices and
+        # disconnected graphs among them) and every connected graph on 6
+        assert biconnected_blocks(Graph(frozenset(), frozenset())) == ((), 0)
+        graphs = [Graph.build(range(1, n + 1), es) for n in range(1, 6)
+                  for es in all_edge_subsets(complete_graph(range(1, n + 1)), n * (n - 1) // 2)]
+        for g in graphs + list(connected_graphs(6)):
+            count = len(g.components())
+            bridges = {e for e in g.edges
+                       if len(Graph(g.vertices, g.edges - {e}).components()) > count}
+            blocks, components = biconnected_blocks(g)
+            assert components == count, sorted(g.edges)
+            assert sum(b.m for b in blocks) == g.m - len(bridges), sorted(g.edges)
+            assert frozenset().union(*(b.edges for b in blocks)) == g.edges - bridges
 
     def test_cut_vertices_match_brute_force(self):
         # a cut vertex is one whose removal adds a component, trees included

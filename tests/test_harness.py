@@ -84,6 +84,50 @@ class TestGraphFormat:
         with pytest.raises(ParseError):
             parse_graph("p 3 1\nedge 1 2\n")
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("p 2 0\np 2 0\n", "duplicate header", 2),
+        ("p 2\n", "header must be 'p <n> <m>'", 1),
+        ("c x\np 2 0 0\n", "header must be 'p <n> <m>'", 2),
+        ("p 2 x 1\n", "header must be 'p <n> <m>'", 1),
+        ("p two 0\n", "header counts must be integers", 1),
+        ("p 2 1.0\n", "header counts must be integers", 1),
+        ("p -1 0\n", "header counts must be nonnegative", 1),
+        ("p 2 -1\n", "header counts must be nonnegative", 1),
+        ("e 1 2\np 2 1\n", "edge before header", 1),
+        ("p 2 1\ne 1\n", "edge line must be 'e <u> <v>'", 2),
+        ("p 2 1\ne 1 2 3\n", "edge line must be 'e <u> <v>'", 2),
+        ("p 2 1\ne x\n", "edge line must be 'e <u> <v>'", 2),
+        ("p 2 1\ne 1 x\n", "edge endpoints must be integers", 2),
+        ("p 3 1\ne x 9\n", "edge endpoints must be integers", 2),
+        ("p 3 1\ne 1 5\n", "endpoint outside 1..3", 2),
+        ("p 3 1\n\ne 0 1\n", "endpoint outside 1..3", 3),
+        ("p 3 1\ne 4 4\n", "endpoint outside 1..3", 2),
+        ("p 2 1\ne 1 1\n", "self-loop", 2),
+        ("p 3 2\ne 1 2\ne 1 2\n", "duplicate edge (1, 2)", 3),
+        ("p 3 2\ne 3 2\ne 2 3\n", "duplicate edge (2, 3)", 3),
+        ("p 3 1\nedge 1 2\n", "unknown line kind 'edge'", 2),
+        ("p 3 0\nx\n", "unknown line kind 'x'", 2),
+        ("P 3 0\n", "unknown line kind 'P'", 1),
+        ("", "missing 'p' header", 1),
+        ("c only a comment\n\n", "missing 'p' header", 1),
+        ("p 3 2\ne 1 2\n", "header announced 2 edges, found 1", 1),
+        ("c\np 3 0\ne 1 2\n", "header announced 0 edges, found 1", 1),
+    ])
+    def test_every_parse_error_names_its_line(self, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+    @pytest.mark.parametrize("text", [
+        "p 3 2\r\ne 1 2\r\ne 2 3\r\n",
+        "p\t3\t2\ne\t1 2\n\te 2\t3",
+        "  c indented comment\np 3 2\n   c\ne 1 2\ne 3 2\n",
+        "cfoo\np 3 2\ncomment: e 1 3\ne 1 2\ne 2 3\n",
+        "\n\n  \np 3 2\n\ne 1 2\n \t \ne 2 3\n\n",
+    ])
+    def test_spacing_and_comments_parse(self, text):
+        assert parse_graph(text) == path_graph([1, 2, 3])
+
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.data())
@@ -459,6 +503,37 @@ class TestCli:
             assert main(argv) == 0, argv
             assert capsys.readouterr().out.startswith("result decision=yes cost=2 "), argv
 
+    def test_two_inputs_on_stdin_are_refused(self, tmp_path, capsys, monkeypatch):
+        # the graph (--in unset or '-') and a second input cannot share
+        # stdin: the second would read it empty, and lift would then print
+        # a no for a solution never given
+        g = self._write_c4(tmp_path)
+        tr, fam = tmp_path / "tr.txt", tmp_path / "fam.txt"
+        assert main(["--mode", "kernel", "--k", "2", "--in", str(g), "--out", str(tmp_path / "red"),
+                     "--trace", str(tr)]) == 0
+        assert main(["--mode", "family", "--kind", "universal", "--n", "4", "--q", "4",
+                     "--fam-k", "4", "--out", str(fam)]) == 0
+        capsys.readouterr()
+        for argv, flags in (
+                (["--mode", "lift", "--trace", str(tr), "--sol", "-"], "--in and --sol"),
+                (["--mode", "lift", "--in", "-", "--trace", str(tr), "--sol", "-"], "--in and --sol"),
+                (["--mode", "lift", "--in", str(g), "--trace", "-", "--sol", "-"], "--trace and --sol"),
+                (["--mode", "verify", "--k", "2", "--witness", "-"], "--in and --witness"),
+                (["--mode", "derand", "--k", "2", "--family-file", "-"], "--in and --family-file")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(g.read_text()))
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == (
+                "", f"error: --mode {argv[1]}: only one input can read stdin, not {flags}\n"), argv
+        # one input on stdin, the others from files: decided as before
+        for argv, stdin in ((["--mode", "lift", "--in", str(g), "--trace", str(tr), "--sol", "-"],
+                             "e 1 2\ne 2 3\n"),
+                            (["--mode", "derand", "--k", "2", "--in", str(g), "--family-file", "-"],
+                             fam.read_text()),
+                            (["--mode", "derand", "--k", "2", "--family-file", str(fam)], g.read_text())):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out.startswith("result decision=yes cost=2 "), argv
+
     def test_kernel_above_the_size_bound_stays_undecided(self, tmp_path, capsys):
         # a complete binary tree on 600 vertices plus the edge 2-3 is a yes at
         # k = 1, but no rule removes its leaves, so the kernel keeps 600 > 244
@@ -607,7 +682,7 @@ class TestCli:
         for n in range(4, 9):
             for seed in range(6):
                 g = gen_random_instance(n, 0.45, 0, 0, seed=100 * n + seed).graph
-                largest = max((b.n for b in biconnected_blocks(g)), default=1)
+                largest = max((b.n for b in biconnected_blocks(g)[0]), default=1)
                 src.write_text(serialize_graph(g))
                 for k in (1, 2):
                     for ell in (0, 1):

@@ -492,7 +492,7 @@ class TestBlockKnapsack:
         modes = {}
         for blocks, joins in self.GRAPHS:
             g = glue_blocks(blocks, joins)
-            largest = max(b.n for b in biconnected_blocks(g))
+            largest = max(b.n for b in biconnected_blocks(g)[0])
             for ell in range(3):
                 for k in (1, 2, 3):
                     if (largest, k, ell) not in modes:
@@ -501,6 +501,44 @@ class TestBlockKnapsack:
                     want = oracle_cache.decide(g, k, ell)
                     got = solve(Instance(g, k, ell), modes[largest, k, ell])
                     assert (got is not None) == want, (sorted(g.edges), k, ell)
+
+    def test_solve_does_not_depend_on_block_order(self, monkeypatch):
+        # a bowtie whose four rim vertices each carry three leaves: its two
+        # triangles match in size and share their lowest-ranked vertex, the
+        # hub, so only their other ranks tell which goes last
+        import neartree.solver as solver_module
+
+        rng = random.Random(27)
+        leaves = [(r, 6 + 3 * i + j) for i, r in enumerate((2, 3, 4, 5)) for j in range(3)]
+        bowtie = Graph.build(range(1, 18), list(BOWTIE.edges) + leaves)
+        cases = [(bowtie, 1, 1)]
+        for _ in range(5):
+            ids = dict(zip(range(1, 18), rng.sample(range(1, 18), 17)))
+            cases.append((Graph.build(ids.values(), [(ids[u], ids[v]) for u, v in bowtie.edges]), 1, 1))
+        for _ in range(30):  # 2-3 blocks, chained, with a pendant forest
+            blocks = [rng.choice([C4, C5, K4, BOWTIE, C6_CHORD]) for _ in range(rng.randint(2, 3))]
+            g = glue_blocks(blocks, [rng.choice([0, 0, 1, 2]) for _ in blocks[1:]])
+            edges, n = list(g.edges), g.n
+            for v in range(n + 1, n + rng.randint(1, 8) + 1):
+                edges.append((rng.randint(1, v - 1), v))
+            g = Graph.build(range(1, v + 1), edges)
+            cases += [(g, k, ell) for k in (1, 2, 3) for ell in (0, 1, 2)]
+
+        def edges_of(g, k, ell):
+            sol = solve(Instance(g, k, ell), ExhaustiveColorings())
+            return None if sol is None else sol.edges
+
+        want = [edges_of(*case) for case in cases]
+        assert want[0] == {(2, 3)}
+        forward = solver_module.biconnected_blocks
+
+        def reversed_blocks(g):
+            blocks, components = forward(g)
+            return blocks[::-1], components
+
+        monkeypatch.setattr(solver_module, "biconnected_blocks", reversed_blocks)
+        for case, edges in zip(cases, want):
+            assert edges_of(*case) == edges, (sorted(case[0].edges), case[1:])
 
     def test_large_tree_with_blocks_needs_no_recursion(self):
         # a 5000-vertex path with side branches, deeper than the default
@@ -567,7 +605,7 @@ class TestShortCycleFloor:
 
         monkeypatch.setattr(solver_module, "_live", recorded)
         blocks = [g for n in range(3, 7) for g in connected_graphs(n)
-                  if biconnected_blocks(g) == (g,)]
+                  if biconnected_blocks(g)[0] == (g,)]
         for g in blocks:
             for ell in range(3):
                 for k in range(4):
