@@ -411,6 +411,10 @@ def _certifies_no(fam: FunctionFamily, g: Graph, k: int, ell: int) -> bool:
 
 
 def run(cfg: RunConfig) -> int:
+    # '-' reads stdin for an input; as an output it would only name a file '-'
+    for flag in ("out",) * (cfg.mode != "verify") + ("trace",) * (cfg.mode == "kernel"):
+        if getattr(cfg, flag) == "-":
+            raise InputError(f"--{flag} cannot be '-': outputs go to files, and '-' reads stdin")
     if cfg.mode == "exact":  # the instance checks ell; a negative k is a no
         g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
         res = None if cfg.k < 0 else exact_opt(g, cfg.ell, min(cfg.k, g.m))

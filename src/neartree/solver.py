@@ -39,22 +39,24 @@ live vertices first, each group in shape order (see `solve`), so the scan
 follows the graph's shape, not its ids.  A coloring enters as its color classes
 (`_classes`), split into components by one mask flood; the shatter is
 `cvc.shatter_core` on the same masks, and the quotient's excess comes from
-bag reach masks.  A part's shape (a path, or shattered) is worked out once
-per scan; only whether a path contracts depends on the other parts.  The
-set-based public functions (`monochromatic_components`,
-`classify_component`) are thin adapters over that core.
+bag reach masks (the complete mode counts bag pairs as it scans).  A part's
+shape (a path, or shattered) is worked out once per scan; only whether a
+path contracts depends on the other parts.  The set-based public functions
+(`monochromatic_components`, `classify_component`) are thin adapters over
+that core.
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
 Completeness of exhaustive mode: by the lemma every bag of two or more
 vertices of a cheapest witness lies among the live vertices, and each bag is
 connected, so the witness is a connected partition of the live vertices plus
-frozen singletons.  The scan offers every such partition of every block,
-at cost t - #parts for t live vertices, and drops a prefix of parts once its
-cost passes the budget, which only falls during a scan, or its parts alone
-span cycle rank above ell: the quotient of a prefix is an induced subgraph
-of the whole quotient, so nothing dropped could fill a profile entry.  A
-scan that weighs more than SCAN_WORK_CAP parts and partitions is refused.
+frozen singletons.  The scan offers every such partition of every block, at
+cost t - #parts for t live vertices, in one loop over a stack of open
+prefixes.  It drops a prefix once its cost passes the budget, which only
+falls during a scan, or its bags, frozen singletons included, span cycle
+rank above ell: the quotient of a prefix is an induced subgraph of the whole
+quotient, so nothing dropped could fill a profile entry.  A scan that weighs
+more than SCAN_WORK_CAP parts and partitions is refused.
 """
 
 from __future__ import annotations
@@ -334,15 +336,18 @@ def _connected_parts(adj: tuple[int, ...], rest: int, size: int) -> list[tuple[i
 
 def _connected_partitions(full: int, adj: tuple[int, ...], budget, ell: int):
     """Partitions of a non-empty `full` into connected parts (masks, by lowest
-    vertex), lazily and in mask order, each with its adjacent pairs of parts.
-    A part holds at most budget() - spent + 1 vertices, spent the cost of
-    the parts before it, and a prefix goes once its parts have more than
-    ell + |prefix| - 1 adjacent pairs: both cuts are exact (module
-    docstring).  Parts are listed once per (remaining mask, size bound).
-    Past SCAN_WORK_CAP parts, counted before each listing, and partitions
-    yielded, SizeCapError."""
+    vertex), lazily and in mask order, each with its adjacent pairs of bags;
+    every other vertex of the index is a frozen singleton, a bag ahead of the
+    parts.  A part holds at most budget() - spent + 1 vertices, spent the cost
+    of the parts before it, and a prefix goes once its bags have more than
+    ell + |bags| - 1 adjacent pairs: both cuts are exact (module docstring).
+    One stack holds the open prefixes.  Parts are listed once per (remaining
+    mask, size bound).  Past SCAN_WORK_CAP parts, counted before each
+    listing, and partitions yielded, SizeCapError."""
     work = 0
     listed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    frozen = (1 << len(adj)) - 1 & ~full
+    stack = []
 
     def weigh(amount: int) -> None:
         nonlocal work
@@ -351,26 +356,31 @@ def _connected_partitions(full: int, adj: tuple[int, ...], budget, ell: int):
             raise SizeCapError(f"a block of {full.bit_count()} vertices on short cycles passes the "
                                f"exhaustive scan's work cap of {SCAN_WORK_CAP} parts and partitions")
 
-    def extend(rest: int, prefix: tuple[int, ...], pairs: int, spent: int):
+    def enter(rest: int, prefix: tuple[int, ...], pairs: int, spent: int) -> None:
         size = min(budget() - spent + 1, rest.bit_count())
         if (parts := listed.get((rest, size))) is None:
             weigh(sum(comb(rest.bit_count() - 1, j) for j in range(size)))
             parts = listed[rest, size] = _connected_parts(adj, rest, size)
-        room = ell + len(prefix) - pairs  # adjacent pairs the next part may add
+        stack.append((rest, prefix, pairs, spent, iter(parts)))
+
+    enter(full, (), sum((adj[i] & frozen).bit_count() for i in bits(frozen)) // 2, 0)
+    while stack:
+        rest, prefix, pairs, spent, parts = stack[-1]
+        room = ell + len(prefix) + frozen.bit_count() - pairs  # adjacent pairs the next part may add
         for part, near in parts:
-            touching = 0
+            touching = (near & frozen).bit_count()
             for p in prefix:
                 if p & near:
                     touching += 1
             cost = spent + part.bit_count() - 1
             if cost <= budget() and touching <= room:
-                if part == rest:
-                    weigh(1)
-                    yield prefix + (part,), pairs + touching
-                else:
-                    yield from extend(rest ^ part, prefix + (part,), pairs + touching, cost)
-
-    return extend(full, (), 0, 0)
+                if part != rest:
+                    enter(rest ^ part, prefix + (part,), pairs + touching, cost)
+                    break
+                weigh(1)
+                yield prefix + (part,), pairs + touching
+        else:
+            stack.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +392,14 @@ def _witnesses(adj: tuple[int, ...], t: int, frozen: tuple[int, ...], k: int, el
     a block whose t live vertices come first in its index, each followed by
     the `frozen` singletons of the others, none free and none dearer than
     budget().  Exhaustive mode offers each connected partition of the live
-    vertices as itself (see the module docstring); with none frozen, the
-    scan's pair count gives its quotient excess.  A coloring's components
-    are refined into a witness.  Family functions color the live vertices
-    by rank, so the domain bounds t."""
+    vertices as itself (see the module docstring), its quotient excess from
+    the scan's count of adjacent bags, frozen ones included.  A coloring's
+    components are refined into a witness, its excess from bag reach masks.
+    Family functions color the live vertices by rank, so the domain bounds t."""
     if isinstance(mode, ExhaustiveColorings):
         for parts, pairs in _connected_partitions((1 << t) - 1, adj, budget, ell):
             if len(parts) < t:
-                bags = parts + frozen
-                yield bags, t - len(parts), (_quotient_excess(adj, bags) if frozen
-                                             else pairs - len(parts) + 1)
+                yield parts + frozen, t - len(parts), pairs - len(parts) - len(frozen) + 1
         return
     if isinstance(mode, RandomColorings):
         q = palette_size(ell)

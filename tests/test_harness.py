@@ -476,6 +476,46 @@ class TestCli:
         assert printed.out == ""
         assert printed.err.startswith("error: [Errno ") and printed.err.count("\n") == 1
 
+    def _kernel_inputs(self, tmp_path):
+        """C4 with its kernel trace and a reduced solution on disk, for lift."""
+        g, red, tr, sol = (tmp_path / f for f in ("c4.graph", "red.graph", "tr.txt", "sol.txt"))
+        g.write_text(serialize_graph(cycle_graph([1, 2, 3, 4])))
+        assert main(["--mode", "kernel", "--k", "2", "--in", str(g), "--out", str(red),
+                     "--trace", str(tr)]) == 0
+        sol.write_text(serialize_edge_set(exact_opt(parse_graph(red.read_text()), 0, 2)[0]))
+        return g, tr, sol
+
+    @pytest.mark.parametrize("mode, extra, flag", [
+        ("exact", [], "--out"),
+        ("rand", ["--iters", "50"], "--out"),
+        ("exhaustive", [], "--out"),
+        ("derand", [], "--out"),
+        ("kernel", ["--trace", "tr2.txt"], "--out"),
+        ("kernel", ["--out", "red2.graph"], "--trace"),
+        ("lift", ["--trace", "tr.txt", "--sol", "sol.txt"], "--out"),
+        ("family", ["--kind", "universal", "--n", "4", "--q", "4", "--fam-k", "4"], "--out"),
+    ], ids=["exact", "rand", "exhaustive", "derand", "kernel-out", "kernel-trace", "lift", "family"])
+    def test_dash_as_an_output_is_refused(self, mode, extra, flag, tmp_path, capsys, monkeypatch):
+        # '-' reads stdin for every input; as an output it used to name a
+        # file '-' in the working directory.  Each run is refused before it
+        # reads or writes anything
+        self._kernel_inputs(tmp_path)
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        argv = ["--mode", mode, "--k", "2", "--in", "c4.graph", *extra, flag, "-"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {flag} cannot be '-': outputs go to files, and '-' reads stdin\n")
+        assert sorted(tmp_path.iterdir()) == before and not (tmp_path / "-").exists()
+
+    def test_lift_still_reads_its_trace_from_stdin(self, tmp_path, capsys, monkeypatch):
+        g, tr, sol = self._kernel_inputs(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr("sys.stdin", io.StringIO(tr.read_text()))
+        assert main(["--mode", "lift", "--in", str(g), "--trace", "-", "--sol", str(sol)]) == 0
+        assert capsys.readouterr().out.startswith("result decision=yes cost=2 mode=lift")
+
     def test_lift_and_verify_need_their_input_files(self, tmp_path, capsys, monkeypatch):
         # an absent --trace, --sol or --witness is an error even with a valid
         # input on stdin: only an explicit '-' reads stdin for them

@@ -187,11 +187,12 @@ class TestPartitionEnumeration:
 class TestBudgetCut:
     """Exhaustive scans offer each connected partition as its own witness
     and drop a prefix of parts once its cost, the sum of |part| - 1, passes
-    the budget, or once its parts have more than ell + |prefix| - 1 adjacent
-    pairs.  With no excess cut (ell = m) exactly the partitions dearer than
-    the budget go; with it, exactly those with a prefix past either floor,
-    which leaves every partition within the budget and ell.  The rest keep
-    their order, each with its number of adjacent pairs of parts."""
+    the budget, or once its bags (the frozen singletons outside the scanned
+    mask, then the parts) have more than ell + |bags| - 1 adjacent pairs.
+    With no excess cut (ell = m) exactly the partitions dearer than the
+    budget go; with it, exactly those with a prefix past either floor, which
+    leaves every partition within the budget and ell.  The rest keep their
+    order, each with its number of adjacent pairs of bags."""
 
     @staticmethod
     def graphs() -> list[Graph]:
@@ -220,35 +221,64 @@ class TestBudgetCut:
         assert dropped > 0
 
     @staticmethod
-    def floors(g: Graph, members: list) -> tuple[list[tuple[int, int]], int]:
-        """(cost, adjacent pairs) of each prefix of a partition's parts, and
-        the excess of its quotient."""
+    def floors(g: Graph, idx, full: int, parts: tuple[int, ...]) -> tuple[list[tuple[int, int]], Graph]:
+        """(cost, adjacent pairs of bags) of each prefix of a partition's
+        parts, the frozen singletons (the vertices outside `full`) counted
+        first, and the partition's quotient."""
+        frozen = [{v} for v in idx.members((1 << g.n) - 1 & ~full)]
+        members = frozen + [idx.members(x) for x in parts]
         part_of = {v: i for i, p in enumerate(members) for v in p}
         touching = {tuple(sorted((part_of[u], part_of[v]))) for u, v in g.edges
                     if part_of[u] != part_of[v]}
-        prefixes = [(sum(len(p) - 1 for p in members[:i + 1]), sum(1 for _, j in touching if j <= i))
-                    for i in range(len(members))]
-        return prefixes, excess(quotient_reference(g, WitnessStructure.of(members)))
+        prefixes = [(sum(len(p) - 1 for p in members[:len(frozen) + i + 1]),
+                     sum(1 for _, j in touching if j <= len(frozen) + i)) for i in range(len(parts))]
+        return prefixes, quotient_reference(g, WitnessStructure.of(members))
 
     def test_keeps_exactly_the_prefixes_within_both_floors_in_order(self):
-        cut = 0
+        # every non-empty `full` on up to 5 vertices, and on 6 the whole set
+        # and a seeded sample: the vertices left out are frozen singletons,
+        # whose pairs count from the first prefix on
+        cut = {False: 0, True: 0}  # partitions the excess floor drops, by whether any vertex is frozen
+        rng = random.Random(5)
         for g in (g for n in range(3, 7) for g in connected_graphs(n)):
             idx = mask_index(g)
-            full = (1 << g.n) - 1
-            every = list(_connected_partitions(full, idx.adj, lambda: g.n, g.m))
-            scored = [self.floors(g, [idx.members(x) for x in parts]) for parts, _ in every]
-            assert [pairs for _, pairs in every] == [prefixes[-1][1] for prefixes, _ in scored]
-            for budget in range(4):
-                for ell in range(3):
-                    kept = list(_connected_partitions(full, idx.adj, lambda: budget, ell))
-                    case = (sorted(g.edges), budget, ell)
-                    assert kept == [scan for scan, (prefixes, _) in zip(every, scored)
-                                    if all(cost <= budget and pairs <= ell + i
-                                           for i, (cost, pairs) in enumerate(prefixes))], case
-                    assert {scan for scan, (prefixes, x) in zip(every, scored)
-                            if prefixes[-1][0] <= budget and x <= ell} <= set(kept), case
-                    cut += sum(1 for prefixes, _ in scored if prefixes[-1][0] <= budget) - len(kept)
-        assert cut > 0  # the excess floor drops partitions the budget keeps
+            masks = range(1, 1 << g.n)
+            for full in masks if g.n <= 5 else [masks[-1], *rng.sample(masks[:-1], 3)]:
+                frozen = g.n - full.bit_count()
+                every = list(_connected_partitions(full, idx.adj, lambda: g.n, g.m))
+                scored = [self.floors(g, idx, full, parts) for parts, _ in every]
+                assert [pairs for _, pairs in every] == [q.m for _, q in scored], (sorted(g.edges), full)
+                for budget in range(4):
+                    for ell in range(3):
+                        kept = list(_connected_partitions(full, idx.adj, lambda: budget, ell))
+                        case = (sorted(g.edges), full, budget, ell)
+                        assert kept == [scan for scan, (prefixes, _) in zip(every, scored)
+                                        if all(cost <= budget and pairs <= ell + frozen + i
+                                               for i, (cost, pairs) in enumerate(prefixes))], case
+                        assert {scan for scan, (prefixes, q) in zip(every, scored)
+                                if prefixes[-1][0] <= budget and excess(q) <= ell} <= set(kept), case
+                        cut[frozen > 0] += sum(1 for prefixes, _ in scored
+                                               if prefixes[-1][0] <= budget) - len(kept)
+        assert cut[False] > 0 and cut[True] > 0  # the excess floor drops partitions the budget keeps
+
+    @staticmethod
+    def strip(n: int) -> Graph:
+        """Edges i-(i+1) and i-(i+2) on 1..n: one block, every vertex on a
+        triangle, excess n - 2."""
+        return Graph.build(range(1, n + 1), [(i, j) for i in range(1, n + 1)
+                                             for j in (i + 1, i + 2) if j <= n])
+
+    def test_a_long_block_is_scanned_without_recursion(self):
+        # one contraction inside a triangle lowers the excess by two: on
+        # 1,100 vertices the yes is a partition of about 1,100 parts, each
+        # one more open prefix on the scan's stack, not one more frame
+        g = self.strip(1100)
+        sol = solve(Instance(g, 1, 1096), ExhaustiveColorings())
+        assert sol is not None and sol.cost == 1
+        assert verify_witness(g, sol.witness, 1096, 1).valid
+        # the work cap, not recursion, bounds the scan
+        with pytest.raises(SizeCapError, match="^a block of 3000 vertices on short cycles "):
+            solve(Instance(self.strip(3000), 1, 2996), ExhaustiveColorings())
 
     def test_a_dense_block_past_the_work_cap_is_refused(self):
         # the 5-cube at (5, 30): all 32 vertices lie on 4-cycles and a scan
