@@ -146,6 +146,9 @@ def parse_witness(text: str) -> WitnessStructure:
             bags.append([int(x) for x in parts])
         except ValueError:
             raise ParseError("bag lines hold integers", lineno) from None
+        if len(set(bags[-1])) < len(bags[-1]):
+            twice = next(v for i, v in enumerate(bags[-1]) if v in bags[-1][:i])
+            raise ParseError(f"vertex {twice} named twice in one bag", lineno)
     if not bags:
         raise ParseError("empty witness", 1)
     return WitnessStructure.of(bags)

@@ -14,6 +14,11 @@ long-path rule re-runs only after a lossy step: for k >= -1 a contraction in a
 run keeps every degree, and a twin deletion lowers only hub degrees, never
 below 4.  Twins go in runs, one rebuild each: while the degree split stands, no
 other twin group changes, so the rule keeps picking the same one.
+
+The lossy rule contracts onto d = ceil(alpha / (alpha - 1)) hubs and has one
+cap, LOSSY_SUBSET_CAP, on the d-subsets of neighborhoods it lists.  No d is
+too large, so any finite alpha above 1 is accepted: once d is above every
+degree the rule lists nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from math import ceil, comb, inf
 from .errors import InputError, SizeCapError
 from .graph import Edge, Graph, Instance, MergeMap, contract_edges, edge, excess
 
-MAX_LOSSY_DEGREE = 16  # cap on d = ceil(alpha / (alpha - 1)); rejects alpha too close to 1
 LOSSY_SUBSET_CAP = 1 << 18  # cap on the d-subsets of neighborhoods the lossy rule lists
 
 
@@ -169,12 +173,10 @@ def reduce_false_twins(instance: Instance) -> tuple[Instance, TwinDelete | None]
 # rule: shared d-neighborhood in the high-degree part (the lossy one)
 
 def lossy_degree(alpha: float) -> int:
+    """The lossy rule's hub-set size, for any finite alpha above 1."""
     if not 1 < alpha < inf:  # NaN fails both comparisons
         raise InputError(f"the approximation factor must be finite and exceed 1 (got {alpha})")
-    d = ceil(alpha / (alpha - 1))
-    if d > MAX_LOSSY_DEGREE:
-        raise InputError(f"alpha={alpha} needs d={d} > {MAX_LOSSY_DEGREE}; choose alpha further from 1")
-    return d
+    return ceil(alpha / (alpha - 1))
 
 
 def reduce_common_neighborhood(instance: Instance, alpha: float,
@@ -280,7 +282,10 @@ def replay(original: Instance, trace: KernelTrace,
     rebuild, so each of its steps has the stage after the whole run.
 
     Raises InputError when a step does not fit the graph it is applied to,
-    which is the trace/instance-mismatch guard for lifting.
+    which is the trace/instance-mismatch guard for lifting: a twin step's
+    vertex must be present with exactly its recorded neighborhood, a
+    contraction's edges must be present, and a lossy step must contract a
+    star of d edges.
     """
     stages = [original]
     merges: list[MergeMap | None] = []
@@ -291,6 +296,8 @@ def replay(original: Instance, trace: KernelTrace,
             for step in run:
                 if step.vertex not in g.vertices or step.vertex in gone:
                     raise InputError(f"trace mismatch: vertex {step.vertex} absent")
+                if g.neighbors(step.vertex) - gone != step.neighborhood:
+                    raise InputError(f"trace mismatch: twin {step.vertex} has other neighbors")
                 gone.add(step.vertex)
             stages += [Instance(g.without(gone), k, ell)] * len(gone)
             merges += [None] * len(gone)
@@ -298,6 +305,10 @@ def replay(original: Instance, trace: KernelTrace,
         for step in run:
             if not isinstance(step, (LongPathContract, CommonNbrContract)):
                 raise InputError(f"unknown step {step!r}")
+            if isinstance(step, CommonNbrContract) and (  # d >= 2 edges sharing one vertex
+                    step.d < 2 or len(step.contracted) != step.d
+                    or len(frozenset.intersection(*map(frozenset, step.contracted))) != 1):
+                raise InputError(f"trace mismatch: commonnbr step is not a star of d={step.d} edges")
             g, merge = contract_edges(g, step.contracted)  # raises on absent edges
             k -= step.d - 1 if isinstance(step, CommonNbrContract) else 0
             stages.append(Instance(g, k, ell))

@@ -499,3 +499,23 @@ def ballast_gadget(rng, k: int, ell: int) -> Graph:
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return Graph.build(perm, ((perm[u - 1], perm[v - 1]) for u, v in edges))
+
+
+def planted_graph(rng, h: int, extra: int, blown: int) -> Graph:
+    """A seeded tree on h vertices plus `extra` edges, with `blown` of its
+    vertices each blown up into a two-vertex bag {v, twin}: every edge at v
+    goes to v, to the twin, or to both.  Contracting the bags gives back the
+    base graph, of excess `extra`, so (blown, extra) is a yes."""
+    edges = {(rng.randrange(v), v) for v in range(1, h)}
+    while len(edges) < h - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(h), 2))))
+    for twin, v in enumerate(rng.sample(range(h), blown), start=h):
+        kept = {(v, twin)}
+        for e in sorted(edges):
+            side = rng.randrange(3) if v in e else 0  # 0: keep e; 1: move it; 2: both
+            if side:
+                kept.add(edge(e[0] if e[1] == v else e[1], twin))
+            if side != 1:
+                kept.add(e)
+        edges = kept
+    return Graph.build(range(h + blown), edges)

@@ -419,6 +419,44 @@ class TestCli:
         assert code == 2
         assert "outside the reduced graph's 1..17" in capsys.readouterr().err
 
+    def _lift_edited_k2_12_trace(self, tmp_path, capsys, edit) -> tuple[int, str, str]:
+        """Kernel K2,12 (hubs 1 and 2) at (1, 0), which deletes four twins,
+        then lift the empty solution through the edited trace."""
+        src, tr, sol = tmp_path / "k2_12.graph", tmp_path / "tr.txt", tmp_path / "sol.txt"
+        src.write_text(serialize_graph(Graph.build(range(1, 15), [
+            (h, v) for h in (1, 2) for v in range(3, 15)])))
+        assert main(["--mode", "kernel", "--k", "1", "--ell", "0", "--in", str(src),
+                     "--out", str(tmp_path / "red.graph"), "--trace", str(tr)]) == 0
+        assert tr.read_text().count("step twin") == 4
+        tr.write_text(edit(tr.read_text()))
+        sol.write_text("")
+        capsys.readouterr()
+        code = main(["--mode", "lift", "--in", str(src), "--trace", str(tr), "--sol", str(sol)])
+        return (code, *capsys.readouterr())
+
+    def test_lift_refuses_a_twin_step_with_other_neighbors(self, tmp_path, capsys):
+        code, out, err = self._lift_edited_k2_12_trace(
+            tmp_path, capsys, lambda text: text.replace(" 1 2\n", " 5\n"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: trace mismatch: twin 14 ")
+
+    def test_lift_refuses_a_commonnbr_step_that_is_not_a_star_of_d_edges(self, tmp_path, capsys):
+        # d = 0 would raise the stage budget by one; d = 2 needs two edges
+        for line in ("step commonnbr 0 1 3", "step commonnbr 2 1 3", "step commonnbr 2 1 3 2 4"):
+            code, out, err = self._lift_edited_k2_12_trace(
+                tmp_path, capsys, lambda text: text + line + "\n")
+            assert code == 2 and out == "", line
+            assert err.startswith("error: trace mismatch: commonnbr "), line
+
+    def test_verify_refuses_a_vertex_named_twice_in_one_bag(self, tmp_path, capsys):
+        # read as the bag {1, 2, 3}, this witness would be a yes of cost 2
+        src, w = tmp_path / "c6.graph", tmp_path / "w.txt"
+        src.write_text("p 6 7\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\ne 1 4\n")
+        w.write_text("1 1 2 3\n4\n5\n6\n")
+        assert main(["--mode", "verify", "--k", "2", "--ell", "1",
+                     "--in", str(src), "--witness", str(w)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: vertex 1 named twice in one bag\n")
+
     def test_a_shorter_output_over_a_longer_one_matches_a_fresh_run(self, tmp_path, capsys):
         # each output is rewritten in place: a file left longer by an earlier
         # run must end where the new text ends, byte for byte as a fresh file

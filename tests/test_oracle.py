@@ -1,10 +1,12 @@
+from math import comb
+
 import pytest
 
 from helpers import connected_graphs, subdivide_edge
 
 from neartree.errors import SizeCapError
 from neartree.graph import Graph, Instance, complete_graph, cycle_graph, path_graph
-from neartree.oracle import exact_decide, exact_opt
+from neartree.oracle import WORK_CAP, exact_decide, exact_opt
 from neartree.witness import verify_witness, witness_from_solution
 
 C4 = cycle_graph([1, 2, 3, 4])
@@ -34,11 +36,17 @@ class TestExactOpt:
         assert exact_opt(g, 4, 2) is None
 
     def test_caps(self):
-        big = complete_graph(range(1, 9))  # 28 edges
-        with pytest.raises(SizeCapError):
-            exact_opt(big, 0, 2)
-        with pytest.raises(SizeCapError):
-            exact_opt(C4, 0, 7)
+        # the cap is on edge visits, m * sum(C(m, j) for j <= min(k, m)):
+        # 24 edges at k = 6 make exactly WORK_CAP of them and are admitted
+        assert 24 * sum(comb(24, j) for j in range(7)) == WORK_CAP == 4_561_224
+        k38 = Graph.build(range(1, 12), [(h, v) for h in (1, 2, 3) for v in range(4, 12)])
+        assert k38.m == 24 and exact_opt(k38, 0, 6)[1] == 3  # hubs and one leaf in a bag
+        assert exact_opt(complete_graph(range(1, 9)), 0, 2) is None  # 28 edges, 407 subsets
+        assert exact_opt(C4, 0, 7)[1] == 2
+        assert exact_opt(cycle_graph(range(1, 73)), 1, 3) == (frozenset(), 0)  # 72 edges
+        for g, k in ((subdivide_edge(k38, (1, 4)), 6), (cycle_graph(range(1, 74)), 3)):
+            with pytest.raises(SizeCapError, match="oracle refuses"):
+                exact_opt(g, 0, k)
 
 
 class TestExactDecide:

@@ -12,6 +12,7 @@ from helpers import (
     girth,
     glue_blocks,
     hypercube,
+    planted_graph,
     quotient_reference,
     shortest_cycle_through,
     subdivided_k33,
@@ -32,6 +33,7 @@ from neartree.graph import (
     path_graph,
     star_graph,
 )
+from neartree.oracle import exact_decide
 from neartree.solver import (
     ALL_SINGLETONS,
     CONTRACT_ALL,
@@ -385,6 +387,26 @@ class TestSolve:
                     want = oracle_cache.decide(g, k, ell)
                     got = solve(Instance(g, k, ell), ExhaustiveColorings())
                     assert (got is not None) == want
+
+    def test_matches_oracle_on_planted_graphs_past_24_edges(self):
+        # 150 seeded sparse graphs of 30-72 edges at k 0-3, ell 0-4: the
+        # oracle's work cap admits every one (72 edges at k = 3 is its limit)
+        rng = random.Random("planted-past-24")
+        decided = set()
+        for _ in range(150):
+            while True:
+                extra, blown = rng.randrange(5), rng.randrange(4)
+                g = planted_graph(rng, rng.randrange(20, 66), extra, blown)
+                if 30 <= g.m <= 72:
+                    break
+            inst = Instance(g, rng.randrange(4), min(4, max(0, extra + rng.randrange(-1, 2))))
+            want = exact_decide(inst)
+            sol = solve(inst, ExhaustiveColorings())
+            assert (sol is not None) == want, (sorted(g.edges), inst.k, inst.ell)
+            if sol is not None:
+                assert verify_witness(g, sol.witness, inst.ell, inst.k).valid
+            decided.add(want)
+        assert decided == {False, True}
 
 
 class TestCutVertexRecursion:
