@@ -34,7 +34,7 @@ from .graph import (
     path_graph,
     star_graph,
 )
-from .cvc import Shatter, min_connected_vertex_cover, min_shatter
+from .cvc import min_connected_vertex_cover, min_shatter
 from .kernel import (
     HIRPartition,
     KernelTrace,
@@ -46,7 +46,6 @@ from .kernel import (
 )
 from .oracle import exact_decide, exact_opt
 from .solver import (
-    ComponentCase,
     ExhaustiveColorings,
     FamilyColorings,
     RandomColorings,
@@ -67,7 +66,6 @@ from .witness import (
 )
 
 __all__ = [
-    "ComponentCase",
     "ConnectivityReport",
     "ContractionSolution",
     "ExhaustiveColorings",
@@ -81,7 +79,6 @@ __all__ = [
     "KernelTrace",
     "ParseError",
     "RandomColorings",
-    "Shatter",
     "SizeCapError",
     "WitnessCheck",
     "WitnessStructure",

@@ -9,7 +9,6 @@ cover that contains every boundary vertex of X (the core), plus singletons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -82,17 +81,11 @@ def min_connected_vertex_cover(g: Graph, budget: int) -> frozenset[int] | None:
     return None if cover is None else idx.members(cover)
 
 
-@dataclass(frozen=True)
-class Shatter:
-    """One connected cover bag (the core) plus the leftover singleton parts."""
-
-    core: frozenset[int]
-    singletons: frozenset[int]
-
-
-def min_shatter(g: Graph, x: Iterable[int], budget: int) -> Shatter | None:
-    """Minimum shatter of x: the smallest connected vertex cover of G[x] that
-    contains all boundary vertices of x (a single vertex is its own core)."""
+def min_shatter(g: Graph, x: Iterable[int], budget: int) -> frozenset[int] | None:
+    """The core of the minimum shatter of x, the smallest connected vertex
+    cover of G[x] that contains all boundary vertices of x (a single vertex
+    is its own core), if it has at most `budget` vertices; every other vertex
+    of x is a singleton part."""
     idx = mask_index(g)
     xm = idx.mask(x)
     if not xm or not is_connected_mask(idx.adj, xm):
@@ -101,4 +94,4 @@ def min_shatter(g: Graph, x: Iterable[int], budget: int) -> Shatter | None:
         core = xm if budget >= 1 else None
     else:
         core = shatter_core(idx.adj, xm, budget)
-    return None if core is None else Shatter(idx.members(core), idx.members(xm & ~core))
+    return None if core is None else idx.members(core)

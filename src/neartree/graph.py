@@ -337,23 +337,23 @@ def biconnected_blocks(g: Graph) -> tuple[tuple[Graph, ...], int]:
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    components: tuple[frozenset[int], ...]
+    component_count: int
     cut_vertices: frozenset[int]
     is_two_connected: bool
 
 
 def analyze_connectivity(g: Graph) -> ConnectivityReport:
-    """Components, cut vertices (the vertices in two or more blocks, each
-    bridge a block), and 2-connectivity (connected, >= 3 vertices, no cut
-    vertex)."""
-    comps = g.components()
+    """The number of components and the cut vertices (the vertices in two or
+    more blocks, each bridge a block), both from one `biconnected_blocks`
+    pass, and 2-connectivity (connected, >= 3 vertices, no cut vertex)."""
+    blocks, count = biconnected_blocks(g)
     blocks_at = {v: g.degree(v) for v in g.vertices}  # each edge a block, then merged
-    for b in biconnected_blocks(g)[0]:
+    for b in blocks:
         for v in b.vertices:
             blocks_at[v] -= b.degree(v) - 1
-    cuts = frozenset(v for v, count in blocks_at.items() if count >= 2)
-    two = len(comps) == 1 and g.n >= 3 and not cuts
-    return ConnectivityReport(comps, cuts, two)
+    cuts = frozenset(v for v, at in blocks_at.items() if at >= 2)
+    two = count == 1 and g.n >= 3 and not cuts
+    return ConnectivityReport(count, cuts, two)
 
 
 def _degeneracy_greedy_colors(g: Graph, first_color: int) -> dict[int, int]:

@@ -167,9 +167,12 @@ def parse_edge_set(text: str) -> frozenset[tuple[int, int]]:
         if len(parts) != 2:
             raise ParseError("edge lines are 'e <u> <v>' or '<u> <v>'", lineno)
         try:
-            out.add(edge(int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("edge endpoints must be integers", lineno) from None
+        if u == v:
+            raise ParseError("self-loop", lineno)
+        out.add((u, v) if u < v else (v, u))
     return frozenset(out)
 
 
@@ -270,6 +273,8 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
                 d = flat.pop(0)
             if len(flat) % 2:
                 raise ParseError("contracted edges come as vertex pairs", lineno)
+            if any(flat[i] == flat[i + 1] for i in range(0, len(flat), 2)):
+                raise ParseError("self-loop", lineno)
             pairs = tuple(edge(flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
             steps.append(LongPathContract(pairs) if d is None else CommonNbrContract(pairs, d))
         else:
@@ -488,7 +493,9 @@ def run(cfg: RunConfig) -> int:
         return 0 if check.valid else 1
 
     if cfg.mode == "family":
-        if cfg.family_file and not cfg.out:
+        if cfg.family_file and cfg.out:
+            raise InputError("--mode family verifies --family-file or builds one into --out, not both")
+        if cfg.family_file:
             fam = parse_family(_read(cfg.family_file))
             ok = verify_family(fam)
             print(_result_line(ok, len(fam), cfg.mode, cfg.seed))

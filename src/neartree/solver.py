@@ -42,8 +42,8 @@ follows the graph's shape, not its ids.  A coloring enters as its color classes
 bag reach masks (the complete mode counts bag pairs as it scans).  A part's
 shape (a path, or shattered) is worked out once per scan; only whether a
 path contracts depends on the other parts.  The set-based public functions
-(`monochromatic_components`, `classify_component`) are thin adapters over
-that core.
+(`monochromatic_components`, `classify_component`, `cvc.min_shatter`)
+return what that core computes, as vertex sets and kind strings.
 
 Soundness is unconditional: every returned solution, the early one included,
 comes from `witness.certify`, which verifies its witness or raises.
@@ -71,8 +71,6 @@ from .errors import InputError, SizeCapError
 from .graph import (
     Graph,
     Instance,
-    MaskIndex,
-    analyze_connectivity,
     biconnected_blocks,
     bits,
     excess,
@@ -180,17 +178,12 @@ def _components(adj: tuple[int, ...], classes: tuple[int, ...]) -> tuple[int, ..
     return tuple(sorted(comps, key=lambda m: m & -m))
 
 
-def _coloring_parts(g: Graph, coloring: dict[int, int]) -> tuple[MaskIndex, tuple[int, ...]]:
+def monochromatic_components(g: Graph, coloring: dict[int, int]) -> list[frozenset[int]]:
+    """Maximal connected same-color vertex sets; a partition of V, sorted by min id."""
     if set(coloring) != set(g.vertices):
         raise InputError("coloring must be total on the vertex set")
     idx = mask_index(g)
-    return idx, _components(idx.adj, _classes(coloring[v] for v in idx.verts))
-
-
-def monochromatic_components(g: Graph, coloring: dict[int, int]) -> list[frozenset[int]]:
-    """Maximal connected same-color vertex sets; a partition of V, sorted by min id."""
-    idx, parts = _coloring_parts(g, coloring)
-    return [idx.members(x) for x in parts]
+    return [idx.members(x) for x in _components(idx.adj, _classes(coloring[v] for v in idx.verts))]
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +192,6 @@ def monochromatic_components(g: Graph, coloring: dict[int, int]) -> list[frozens
 CONTRACT_ALL = "contract-all"
 ALL_SINGLETONS = "all-singletons"
 SHATTER = "shatter"
-
-
-@dataclass(frozen=True)
-class ComponentCase:
-    kind: str  # CONTRACT_ALL | ALL_SINGLETONS | SHATTER
-    component: frozenset[int]
 
 
 def _shape(adj: tuple[int, ...], x: int) -> tuple[int, int] | None:
@@ -234,17 +221,15 @@ def _contracts(shape: tuple[int, int], parts) -> bool:
     return bool(near_a and near_b) and any(p & near_a and p & near_b for p in parts)
 
 
-def classify_component(g: Graph, x: frozenset[int],
-                       partition: list[frozenset[int]]) -> ComponentCase:
-    """Decide how a monochromatic component contributes witness bags (see
-    `_shape` and `_contracts`); a set that does not induce a connected
-    subgraph is shattered."""
+def classify_component(g: Graph, x: frozenset[int], partition: list[frozenset[int]]) -> str:
+    """How a monochromatic component contributes witness bags, as its kind:
+    CONTRACT_ALL, ALL_SINGLETONS or SHATTER (see `_shape` and `_contracts`);
+    a set that does not induce a connected subgraph is shattered."""
     idx = mask_index(g)
     xm = idx.mask(x)
     shape = _shape(idx.adj, xm) if is_connected_mask(idx.adj, xm) else None
-    kind = (SHATTER if shape is None else CONTRACT_ALL
+    return (SHATTER if shape is None else CONTRACT_ALL
             if _contracts(shape, [idx.mask(p) for p in partition]) else ALL_SINGLETONS)
-    return ComponentCase(kind, frozenset(x))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +518,9 @@ def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
 
 def solve_2connected(g: Graph, k: int, ell: int, mode: Mode) -> ContractionSolution | None:
     """`solve` on a 2-connected graph, or on one already in the class: a single
-    block, scanned until its first witness within budget."""
-    if k >= 0 and not is_near_tree(g, ell) and not analyze_connectivity(g).is_two_connected:
+    block, scanned until its first witness within budget.  A graph is
+    2-connected exactly when it is one block holding every edge."""
+    if k >= 0 and not is_near_tree(g, ell) and biconnected_blocks(g)[0] != (g,):
         raise InputError("coloring solver requires a 2-connected graph")
     return solve(Instance(g, k, ell), mode)
 

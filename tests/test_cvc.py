@@ -84,21 +84,21 @@ class TestCover:
 class TestShatter:
     def test_whole_star_no_boundary(self):
         g = star_graph(1, [2, 3, 4])
-        sh = min_shatter(g, g.vertices, budget=4)
-        assert sh.core == frozenset({1})
-        assert sh.singletons == frozenset({2, 3, 4})
+        core = min_shatter(g, g.vertices, budget=4)
+        assert core == frozenset({1})
+        assert g.vertices - core == frozenset({2, 3, 4})
 
     def test_path_with_both_ends_on_boundary(self):
         # path 2-3-4 inside C5: both ends see the outside
         g = cycle_graph([1, 2, 3, 4, 5])
-        sh = min_shatter(g, {2, 3, 4}, budget=3)
-        assert sh.core == frozenset({2, 3, 4})
-        assert not sh.singletons
+        core = min_shatter(g, {2, 3, 4}, budget=3)
+        assert core == frozenset({2, 3, 4})
+        assert not {2, 3, 4} - core
 
     def test_singleton_component(self):
         g = path_graph([1, 2, 3])
-        sh = min_shatter(g, {2}, budget=1)
-        assert sh.core == frozenset({2}) and not sh.singletons
+        core = min_shatter(g, {2}, budget=1)
+        assert core == frozenset({2}) and not {2} - core
 
     def test_core_is_valid_bag(self):
         # connected, covers the component's edges, contains the boundary
@@ -111,11 +111,12 @@ class TestShatter:
                     subset = frozenset(sub)
                     if not g.subgraph(subset).is_connected():
                         continue
-                    sh = min_shatter(g, subset, budget=len(subset))
+                    core = min_shatter(g, subset, budget=len(subset))
                     inner = g.subgraph(subset)
-                    assert g.subgraph(sh.core).is_connected() or len(sh.core) == 1
-                    assert all(u in sh.core or v in sh.core for u, v in inner.edges)
-                    assert idx.members(_boundary(idx.adj, idx.mask(subset))) <= sh.core
+                    assert core <= subset
+                    assert g.subgraph(core).is_connected() or len(core) == 1
+                    assert all(u in core or v in core for u, v in inner.edges)
+                    assert idx.members(_boundary(idx.adj, idx.mask(subset))) <= core
 
     def test_matches_brute_on_all_small_graphs(self):
         for n in range(1, 7):
@@ -126,8 +127,9 @@ class TestShatter:
                         if not g.subgraph(x).is_connected():
                             continue
                         want = brute_shatter_core(g, x)
-                        sh = min_shatter(g, x, budget=len(x))
-                        assert (sh.core, sh.singletons) == (want, x - want), (sorted(g.edges), sub)
+                        core = min_shatter(g, x, budget=len(x))
+                        assert core <= x
+                        assert (core, x - core) == (want, x - want), (sorted(g.edges), sub)
 
     def test_budget_respected(self):
         g = cycle_graph([1, 2, 3, 4, 5])

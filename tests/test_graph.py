@@ -19,6 +19,7 @@ from neartree.graph import (
     palette_size,
     path_graph,
 )
+from neartree.solver import ExhaustiveColorings, solve_2connected
 
 C4 = cycle_graph([1, 2, 3, 4])
 K4 = complete_graph([1, 2, 3, 4])
@@ -93,7 +94,7 @@ class TestNearTree:
 class TestConnectivity:
     def test_c4(self):
         rep = analyze_connectivity(C4)
-        assert len(rep.components) == 1
+        assert rep.component_count == 1
         assert not rep.cut_vertices
         assert rep.is_two_connected
 
@@ -105,7 +106,7 @@ class TestConnectivity:
     def test_two_disjoint_edges(self):
         g = Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)])
         rep = analyze_connectivity(g)
-        assert len(rep.components) == 2
+        assert rep.component_count == 2
 
     def test_k2_is_not_two_connected(self):
         rep = analyze_connectivity(Graph.build([1, 2], [(1, 2)]))
@@ -131,6 +132,21 @@ class TestBlocks:
             assert components == count, sorted(g.edges)
             assert sum(b.m for b in blocks) == g.m - len(bridges), sorted(g.edges)
             assert frozenset().union(*(b.edges for b in blocks)) == g.edges - bridges
+            # the report: a cut vertex is one whose removal adds a component,
+            # and a 2-connected graph has 3 or more vertices and stays
+            # connected without any one of them
+            rep = analyze_connectivity(g)
+            assert rep.component_count == count, sorted(g.edges)
+            cuts = {v for v in g.vertices if len(g.without([v]).components()) > count}
+            assert rep.cut_vertices == cuts, sorted(g.edges)
+            two = g.n >= 3 and g.is_connected() and all(g.without([v]).is_connected() for v in g.vertices)
+            assert rep.is_two_connected == two, sorted(g.edges)
+            # the solver refuses exactly the graphs that are neither 2-connected nor trees
+            if two or is_near_tree(g, 0):
+                solve_2connected(g, 0, 0, ExhaustiveColorings())
+            else:
+                with pytest.raises(InputError, match="requires a 2-connected graph"):
+                    solve_2connected(g, 0, 0, ExhaustiveColorings())
 
     def test_cut_vertices_match_brute_force(self):
         # a cut vertex is one whose removal adds a component, trees included

@@ -138,6 +138,9 @@ def test_round_trip_random(n, data):
     assert parse_graph(serialize_graph(g)) == g
 
 
+TRACE_HEAD = "instance k 1 ell 0\n"
+
+
 class TestOtherFormats:
     def test_witness_round_trip(self):
         w = WitnessStructure.of([{1, 2}, {3}, {4}])
@@ -167,6 +170,49 @@ class TestOtherFormats:
             assert (k0, ell0) == (1, 0)
             assert back.steps == trace.steps
             assert back.resolved == trace.resolved
+
+    @pytest.mark.parametrize("parse, text, message, line", [
+        (parse_witness, "1 2\n3 x\n", "bag lines hold integers", 2),
+        (parse_witness, "c\n1 2 1\n", "vertex 1 named twice in one bag", 2),
+        (parse_witness, "", "empty witness", 1),
+        (parse_witness, "c only a comment\n\n", "empty witness", 1),
+        (parse_edge_set, "e 1 2\ne 1\n", "edge lines are 'e <u> <v>' or '<u> <v>'", 2),
+        (parse_edge_set, "1 2 3\n", "edge lines are 'e <u> <v>' or '<u> <v>'", 1),
+        (parse_edge_set, "e\n", "edge lines are 'e <u> <v>' or '<u> <v>'", 1),
+        (parse_edge_set, "1 2\n\ne x 2\n", "edge endpoints must be integers", 3),
+        (parse_edge_set, "e 1 2\ne 3 3\n", "self-loop", 2),
+        (parse_edge_set, "4 4\n", "self-loop", 1),
+        (parse_family, "family 2 2 interval 1\nfamily 2 2 interval 1\n", "duplicate family header", 2),
+        (parse_family, "family 2 2 interval\n", "header must be 'family <n> <q> <kind> <k>'", 1),
+        (parse_family, "c\nfamily 2 2 interval 1 0\n", "header must be 'family <n> <q> <kind> <k>'", 2),
+        (parse_family, "family 2 x interval 1\n", "family header fields must be numeric", 1),
+        (parse_family, "family 2 2 interval k\n", "family header fields must be numeric", 1),
+        (parse_family, "1 2\nfamily 2 2 interval 1\n", "function line before family header", 1),
+        (parse_family, "family 2 2 interval 1\n1 x\n", "function lines hold integers", 2),
+        (parse_family, "family 2 2 interval 1\n1 2\n1 2 1\n", "function length differs from n=2", 3),
+        (parse_family, "c only a comment\n", "missing family header", 1),
+        (parse_trace, "instance k 1\n", "instance line must be 'instance k <k> ell <ell>'", 1),
+        (parse_trace, "instance x 1 ell 0\n", "instance line must be 'instance k <k> ell <ell>'", 1),
+        (parse_trace, "instance k 1 ell x\n", "instance budgets must be integers", 1),
+        (parse_trace, TRACE_HEAD + "resolved maybe\n", "resolved line must be 'resolved none|yes|no'", 2),
+        (parse_trace, TRACE_HEAD + "resolved\n", "resolved line must be 'resolved none|yes|no'", 2),
+        (parse_trace, TRACE_HEAD + "step twin\n", "twin step must be 'step twin <v> <neighbors>'", 2),
+        (parse_trace, TRACE_HEAD + "step twin x 1\n", "twin step vertices must be integers", 2),
+        (parse_trace, TRACE_HEAD + "step commonnbr\n",
+         "commonnbr step must be 'step commonnbr <d> u1 v1 ...'", 2),
+        (parse_trace, TRACE_HEAD + "step commonnbr 2 1 x\n",
+         "contraction step fields must be integers", 2),
+        (parse_trace, TRACE_HEAD + "step longpath 1 2 3\n", "contracted edges come as vertex pairs", 2),
+        (parse_trace, TRACE_HEAD + "step longpath 3 3\n", "self-loop", 2),
+        (parse_trace, TRACE_HEAD + "step commonnbr 2 1 2 4 4\n", "self-loop", 2),
+        (parse_trace, TRACE_HEAD + "step\n", "unknown trace line 'step'", 2),
+        (parse_trace, TRACE_HEAD + "step fold 1 2\n", "unknown trace line 'step fold'", 2),
+        (parse_trace, "resolved none\n", "trace missing instance line", 1),
+    ])
+    def test_every_parse_error_names_its_line(self, parse, text, message, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
     def test_trace_step_with_an_unpaired_vertex(self):
         with pytest.raises(ParseError):
@@ -652,6 +698,18 @@ class TestCli:
                      "--out", str(fam_file)]) == 0
         assert main(["--mode", "family", "--family-file", str(fam_file)]) == 0
         capsys.readouterr()
+
+    def test_family_file_with_out_is_refused(self, tmp_path, capsys):
+        fam_file, out = tmp_path / "fam.txt", tmp_path / "new.txt"
+        fam_file.write_text(serialize_family(build_interval_splitter(5, 2, 2)))
+        for builder in ([], ["--kind", "interval", "--n", "5", "--q", "2", "--fam-k", "2"]):
+            assert main(["--mode", "family", "--family-file", str(fam_file),
+                         "--out", str(out), *builder]) == 2, builder
+            printed = capsys.readouterr()
+            assert printed.out == "", builder
+            assert printed.err.count("\n") == 1 and printed.err.startswith("error: "), builder
+            assert "--family-file" in printed.err and "--out" in printed.err, builder
+            assert not out.exists(), builder
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"

@@ -92,28 +92,28 @@ class TestClassification:
     def test_contract_all_on_c5_arc(self):
         x = frozenset({1, 2, 3})
         parts = [x, frozenset({4, 5})]
-        assert classify_component(C5, x, parts).kind == CONTRACT_ALL
+        assert classify_component(C5, x, parts) == CONTRACT_ALL
 
     def test_all_singletons_on_p5_interior(self):
         x = frozenset({2, 3, 4})
         parts = [frozenset({1}), x, frozenset({5})]
-        assert classify_component(P5, x, parts).kind == ALL_SINGLETONS
+        assert classify_component(P5, x, parts) == ALL_SINGLETONS
 
     def test_shatter_when_interior_degree_exceeds_two(self):
         g = star_graph(2, [1, 3, 4])  # path 1-2-3 with an extra leaf at 2
         x = frozenset({1, 2, 3})
         parts = [x, frozenset({4})]
         case = classify_component(g, x, parts)
-        assert case.kind == SHATTER
+        assert case == SHATTER
 
     def test_shatter_on_non_path(self):
         k4 = complete_graph([1, 2, 3, 4])
         x = frozenset({1, 2, 3})
         parts = [x, frozenset({4})]
-        assert classify_component(k4, x, parts).kind == SHATTER
+        assert classify_component(k4, x, parts) == SHATTER
 
     def test_singleton_is_trivial(self):
-        assert classify_component(C5, frozenset({3}), []).kind == ALL_SINGLETONS
+        assert classify_component(C5, frozenset({3}), []) == ALL_SINGLETONS
 
     def test_foreign_vertex_is_an_input_error(self):
         for x, parts in ((frozenset({99}), []), (frozenset({3}), [frozenset({4, 99})])):
