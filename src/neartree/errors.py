@@ -16,8 +16,6 @@ class InternalError(RuntimeError):
 class ParseError(ValueError):
     """A text input could not be parsed; carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line

@@ -277,19 +277,11 @@ def verify_family(fam: FunctionFamily) -> bool:
                 return False
         return True
 
-    if fam.kind == SPLITTER:
-        for s in combinations(range(n), k):
-            if not any(_splits_evenly(f, s, q) for f in fam.functions):
-                return False
-        return True
-
-    if fam.kind == PERFECT_HASH:
-        for s in combinations(range(n), k):
-            if not any(len({f[i] for i in s}) == k for f in fam.functions):
-                return False
-        return True
-
-    raise InputError(f"unknown family kind {fam.kind!r}")
+    covers = {SPLITTER: lambda f, s: _splits_evenly(f, s, q),
+              PERFECT_HASH: lambda f, s: len({f[i] for i in s}) == k}.get(fam.kind)
+    if covers is None:
+        raise InputError(f"unknown family kind {fam.kind!r}")
+    return all(any(covers(f, s) for f in fam.functions) for s in combinations(range(n), k))
 
 
 def _splits_evenly(f: tuple[int, ...], s: tuple[int, ...], q: int) -> bool:

@@ -76,6 +76,14 @@ def _records(text: str):
             yield lineno, line.split()
 
 
+def _ints(fields, message: str, lineno: int) -> list[int]:
+    """The fields as integers, or ParseError(message, lineno)."""
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(message, lineno) from None
+
+
 def parse_graph(text: str) -> Graph:
     """The graph text format (module docstring), read in one loop that tests
     for an edge line first; it skips the blank and comment lines that
@@ -142,10 +150,7 @@ def serialize_witness(w: WitnessStructure) -> str:
 def parse_witness(text: str) -> WitnessStructure:
     bags = []
     for lineno, parts in _records(text):
-        try:
-            bags.append([int(x) for x in parts])
-        except ValueError:
-            raise ParseError("bag lines hold integers", lineno) from None
+        bags.append(_ints(parts, "bag lines hold integers", lineno))
         if len(set(bags[-1])) < len(bags[-1]):
             twice = next(v for i, v in enumerate(bags[-1]) if v in bags[-1][:i])
             raise ParseError(f"vertex {twice} named twice in one bag", lineno)
@@ -166,10 +171,7 @@ def parse_edge_set(text: str) -> frozenset[tuple[int, int]]:
             parts = parts[1:]
         if len(parts) != 2:
             raise ParseError("edge lines are 'e <u> <v>' or '<u> <v>'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("edge endpoints must be integers", lineno) from None
+        u, v = _ints(parts, "edge endpoints must be integers", lineno)
         if u == v:
             raise ParseError("self-loop", lineno)
         out.add((u, v) if u < v else (v, u))
@@ -193,19 +195,18 @@ def parse_family(text: str) -> FunctionFamily:
                 raise ParseError("duplicate family header", lineno)
             if len(parts) != 5:
                 raise ParseError("header must be 'family <n> <q> <kind> <k>'", lineno)
-            try:
-                header = (int(parts[1]), int(parts[2]), parts[3], int(parts[4]))
-            except ValueError:
-                raise ParseError("family header fields must be numeric", lineno) from None
+            n, q, k = _ints(parts[1:3] + parts[4:], "family header fields must be numeric", lineno)
+            if n < 0 or q < 0 or k < 0:
+                raise ParseError("family header counts must be nonnegative", lineno)
+            header = (n, q, parts[3], k)
         else:
             if header is None:
                 raise ParseError("function line before family header", lineno)
-            try:
-                funcs.append(tuple(int(x) for x in parts))
-            except ValueError:
-                raise ParseError("function lines hold integers", lineno) from None
+            funcs.append(tuple(_ints(parts, "function lines hold integers", lineno)))
             if len(funcs[-1]) != header[0]:
                 raise ParseError(f"function length differs from n={header[0]}", lineno)
+            if any(c < 1 or c > header[1] for c in funcs[-1]):
+                raise ParseError(f"color outside 1..{header[1]}", lineno)
     if header is None:
         raise ParseError("missing family header", 1)
     n, q, kind, k = header
@@ -235,13 +236,6 @@ def serialize_trace(original: Instance, reduced: Instance, trace: KernelTrace) -
     return "\n".join(lines) + "\n"
 
 
-def _ints(fields, what: str, lineno: int) -> list[int]:
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ParseError(f"{what} must be integers", lineno) from None
-
-
 def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
     """Returns (original k, ell, trace); the reduced budget is re-derived by replay."""
     k = ell = None
@@ -252,7 +246,7 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
         if kind == "instance":
             if len(parts) != 5 or parts[1] != "k" or parts[3] != "ell":
                 raise ParseError("instance line must be 'instance k <k> ell <ell>'", lineno)
-            k, ell = _ints(parts[2::2], "instance budgets", lineno)
+            k, ell = _ints(parts[2::2], "instance budgets must be integers", lineno)
         elif kind == "reduced-k":
             pass  # derivable
         elif kind == "resolved":
@@ -260,12 +254,12 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
                 raise ParseError("resolved line must be 'resolved none|yes|no'", lineno)
             resolved = None if parts[1] == "none" else parts[1]
         elif kind == "step twin":
-            ids = _ints(parts[2:], "twin step vertices", lineno)
+            ids = _ints(parts[2:], "twin step vertices must be integers", lineno)
             if not ids:
                 raise ParseError("twin step must be 'step twin <v> <neighbors>'", lineno)
             steps.append(TwinDelete(ids[0], frozenset(ids[1:])))
         elif kind in ("step longpath", "step commonnbr"):
-            flat = _ints(parts[2:], "contraction step fields", lineno)
+            flat = _ints(parts[2:], "contraction step fields must be integers", lineno)
             d = None
             if kind == "step commonnbr":
                 if not flat:
@@ -357,20 +351,22 @@ def _read(path: str | None) -> str:
         return fh.read()
 
 
-def _need(cfg: RunConfig, *flags: str):
-    """Refuse a mode run without an input file it needs: only an explicit '-'
-    reads stdin there, so an input never given is never read as empty."""
-    for flag in flags:
-        if getattr(cfg, flag) is None:
+# the inputs each graph-reading mode reads besides the graph: flag -> required
+_MODE_INPUTS = {"exact": {}, "rand": {}, "exhaustive": {}, "derand": {"family_file": False},
+               "kernel": {}, "verify": {"witness": True}, "lift": {"trace": True, "sol": True}}
+
+
+def _check_inputs(cfg: RunConfig):
+    """Refuse a required input never given (only an explicit '-' reads stdin,
+    so it is never read as empty), then a run in which two inputs read stdin
+    (--in unset or '-', or another input given as '-'): the second would
+    read it empty."""
+    inputs = _MODE_INPUTS[cfg.mode]
+    for flag, required in inputs.items():
+        if required and getattr(cfg, flag) is None:
             raise InputError(f"--mode {cfg.mode} needs --{flag} ('-' reads stdin)")
-
-
-def _stdin_once(cfg: RunConfig, *flags: str):
-    """Refuse a mode run in which the graph (--in unset or '-') and another
-    input, or two other inputs given as '-', both read stdin: the second
-    would read it empty."""
     readers = ["--in"] if cfg.infile in (None, "-") else []
-    readers += [f"--{flag.replace('_', '-')}" for flag in flags if getattr(cfg, flag) == "-"]
+    readers += [f"--{flag.replace('_', '-')}" for flag in inputs if getattr(cfg, flag) == "-"]
     if len(readers) > 1:
         raise InputError(f"--mode {cfg.mode}: only one input can read stdin, not {' and '.join(readers)}")
 
@@ -423,76 +419,7 @@ def run(cfg: RunConfig) -> int:
     for flag in ("out",) * (cfg.mode != "verify") + ("trace",) * (cfg.mode == "kernel"):
         if getattr(cfg, flag) == "-":
             raise InputError(f"--{flag} cannot be '-': outputs go to files, and '-' reads stdin")
-    if cfg.mode == "exact":  # the instance checks ell; a negative k is a no
-        g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
-        res = None if cfg.k < 0 else exact_opt(g, cfg.ell, min(cfg.k, g.m))
-        return _emit_solution(cfg, None if res is None else certify(g, res[0], cfg.k, cfg.ell))
-
-    if cfg.mode in ("rand", "exhaustive", "derand"):
-        if cfg.mode == "derand":
-            _stdin_once(cfg, "family_file")
-        g = parse_graph(_read(cfg.infile))
-        if cfg.mode == "rand":
-            mode = RandomColorings(cfg.seed, cfg.iters)
-        elif cfg.mode == "derand" and cfg.family_file:
-            fam = parse_family(_read(cfg.family_file))
-            mode = FamilyColorings(fam.functions, fam.n)
-        else:
-            mode = ExhaustiveColorings()
-        sol = solve(Instance(g, cfg.k, cfg.ell), mode)
-        certified = True
-        if sol is None and isinstance(mode, (RandomColorings, FamilyColorings)):
-            # certified if solve decided it before any coloring (k <= 0 or a
-            # disconnected graph), or if the family is verified universal
-            certified = (cfg.k <= 0 or not g.is_connected()
-                         or isinstance(mode, FamilyColorings) and _certifies_no(fam, g, cfg.k, cfg.ell))
-        return _emit_solution(cfg, sol, certified)
-
-    if cfg.mode == "verify":
-        _need(cfg, "witness")
-        _stdin_once(cfg, "witness")
-        g = Instance(parse_graph(_read(cfg.infile)), cfg.k, cfg.ell).graph
-        w = parse_witness(_read(cfg.witness))
-        check = verify_witness(g, w, cfg.ell, cfg.k)
-        print(_result_line(check.valid, check.cost, cfg.mode, cfg.seed)
-              + ("" if check.valid else f" reason={check.reason}"))
-        return 0 if check.valid else 1
-
-    if cfg.mode == "kernel":
-        g = parse_graph(_read(cfg.infile))
-        original = Instance(g, cfg.k, cfg.ell)
-        reduced, trace = kernelize(original, cfg.alpha)
-        _write(cfg.out, serialize_graph(reduced.graph))
-        _write(cfg.trace, serialize_trace(original, reduced, trace))
-        decided_no = trace.resolved == "no"
-        decision = None if trace.resolved is None else not decided_no
-        print(_result_line(decision, cfg.k + 1 if decided_no else reduced.k, cfg.mode, cfg.seed)
-              + f" reduced_n={reduced.graph.n} reduced_k={reduced.k} resolved={trace.resolved or 'none'}")
-        return 1 if decided_no else 0
-
-    if cfg.mode == "lift":
-        _need(cfg, "trace", "sol")
-        _stdin_once(cfg, "trace", "sol")
-        g = parse_graph(_read(cfg.infile))
-        k0, ell0, trace = parse_trace(_read(cfg.trace))
-        f_reduced = parse_edge_set(_read(cfg.sol))
-        original = Instance(g, k0, ell0)
-        # the reduced graph was written renumbered 1..n; translate the
-        # solution back into the trace's (original merged) ids
-        stages, merges = replay(original, trace)
-        order = sorted(stages[-1].graph.vertices)
-        back = dict(enumerate(order, start=1))
-        outside = sorted(v for e in f_reduced for v in e if v not in back)
-        if outside:
-            raise InputError(f"solution vertex {outside[0]} outside the reduced graph's 1..{len(order)}")
-        f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
-        lifted = lift_solution(original, trace, f_reduced, (stages, merges))
-        check = verify_witness(g, witness_from_solution(g, lifted), ell0, k0)
-        _write(cfg.out, serialize_edge_set(lifted))
-        print(_result_line(check.valid, min(len(lifted), k0 + 1), cfg.mode, cfg.seed))
-        return 0 if check.valid else 1
-
-    if cfg.mode == "family":
+    if cfg.mode == "family":  # reads no graph
         if cfg.family_file and cfg.out:
             raise InputError("--mode family verifies --family-file or builds one into --out, not both")
         if cfg.family_file:
@@ -513,7 +440,68 @@ def run(cfg: RunConfig) -> int:
         print(_result_line(True, len(fam), cfg.mode, cfg.seed))
         return 0
 
-    raise InputError(f"unknown mode {cfg.mode!r}")
+    if cfg.mode not in _MODE_INPUTS:
+        raise InputError(f"unknown mode {cfg.mode!r}")
+    _check_inputs(cfg)
+    g = parse_graph(_read(cfg.infile))
+
+    if cfg.mode == "lift":
+        k0, ell0, trace = parse_trace(_read(cfg.trace))
+        f_reduced = parse_edge_set(_read(cfg.sol))
+        original = Instance(g, k0, ell0)
+        # the reduced graph was written renumbered 1..n; translate the
+        # solution back into the trace's (original merged) ids
+        stages, merges = replay(original, trace)
+        order = sorted(stages[-1].graph.vertices)
+        back = dict(enumerate(order, start=1))
+        outside = sorted(v for e in f_reduced for v in e if v not in back)
+        if outside:
+            raise InputError(f"solution vertex {outside[0]} outside the reduced graph's 1..{len(order)}")
+        f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
+        lifted = lift_solution(original, trace, f_reduced, (stages, merges))
+        check = verify_witness(g, witness_from_solution(g, lifted), ell0, k0)
+        _write(cfg.out, serialize_edge_set(lifted))
+        print(_result_line(check.valid, min(len(lifted), k0 + 1), cfg.mode, cfg.seed))
+        return 0 if check.valid else 1
+
+    instance = Instance(g, cfg.k, cfg.ell)  # the one check of ell; a negative k is a no
+    if cfg.mode == "exact":
+        res = exact_opt(g, cfg.ell, min(cfg.k, g.m))
+        return _emit_solution(cfg, None if res is None else certify(g, res[0], cfg.k, cfg.ell))
+
+    if cfg.mode == "verify":
+        w = parse_witness(_read(cfg.witness))
+        check = verify_witness(g, w, cfg.ell, cfg.k)
+        print(_result_line(check.valid, check.cost, cfg.mode, cfg.seed)
+              + ("" if check.valid else f" reason={check.reason}"))
+        return 0 if check.valid else 1
+
+    if cfg.mode == "kernel":
+        reduced, trace = kernelize(instance, cfg.alpha)
+        _write(cfg.out, serialize_graph(reduced.graph))
+        _write(cfg.trace, serialize_trace(instance, reduced, trace))
+        decided_no = trace.resolved == "no"
+        decision = None if trace.resolved is None else not decided_no
+        print(_result_line(decision, cfg.k + 1 if decided_no else reduced.k, cfg.mode, cfg.seed)
+              + f" reduced_n={reduced.graph.n} reduced_k={reduced.k} resolved={trace.resolved or 'none'}")
+        return 1 if decided_no else 0
+
+    # rand, exhaustive, derand
+    if cfg.mode == "rand":
+        mode = RandomColorings(cfg.seed, cfg.iters)
+    elif cfg.mode == "derand" and cfg.family_file:
+        fam = parse_family(_read(cfg.family_file))
+        mode = FamilyColorings(fam.functions, fam.n)
+    else:
+        mode = ExhaustiveColorings()
+    sol = solve(instance, mode)
+    certified = True
+    if sol is None and isinstance(mode, (RandomColorings, FamilyColorings)):
+        # certified if solve decided it before any coloring (k <= 0 or a
+        # disconnected graph), or if the family is verified universal
+        certified = (cfg.k <= 0 or not g.is_connected()
+                     or isinstance(mode, FamilyColorings) and _certifies_no(fam, g, cfg.k, cfg.ell))
+    return _emit_solution(cfg, sol, certified)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -30,10 +30,10 @@ def exact_opt(g: Graph, ell: int, k_max: int) -> tuple[frozenset[Edge], int] | N
 
     Canonical: searched by size then lexicographic edge order, so the
     returned optimum is reproducible.  Returns None when no set within the
-    budget works.
+    budget works, as for every negative budget.
     """
     if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+        return None
     visits = 0
     for size in range(min(k_max, g.m) + 1):  # stops summing once past the cap
         visits += g.m * comb(g.m, size)
@@ -79,7 +79,5 @@ def exact_opt(g: Graph, ell: int, k_max: int) -> tuple[frozenset[Edge], int] | N
 
 def exact_decide(instance: Instance) -> bool:
     """Decision form; a negative budget is always a no."""
-    if instance.k < 0:
-        return False
     k_eff = min(instance.k, instance.graph.m)
     return exact_opt(instance.graph, instance.ell, k_eff) is not None

@@ -500,20 +500,33 @@ def solve(instance: Instance, mode: Mode) -> ContractionSolution | None:
     # the largest goes last; two blocks share at most one vertex, so no two tie
     blocks = sorted(blocks, key=lambda b: (b.n, b.m, sorted(map(rank, b.vertices))))
     cost: list[float] = [0] * (ell + 1)  # cost[j]: fewest contractions, total excess <= j
-    picks: list[tuple] = [()] * (ell + 1)  # the (block, witness) pairs behind cost[j]
+    picks: list = [None] * (ell + 1)  # behind cost[j]: linked (block, witness, rest) or None
     for i, b in enumerate(blocks):
         profile = _block_profile(b, rank, k, ell, mode, cost, first_hit=i == len(blocks) - 1)
-        new_cost, new_picks = [float("inf")] * (ell + 1), [()] * (ell + 1)
+        # cost[] never increases, so an entry no cheaper than one before it never
+        # beats that one, and ties go to the smaller e: only the cheaper steps count
+        steps, least = [], float("inf")
+        for e, entry in enumerate(profile):
+            if entry is not None and entry[0] < least:
+                steps.append((e, *entry))
+                least = entry[0]
+        new_cost, new_picks = [float("inf")] * (ell + 1), [None] * (ell + 1)
         for j in range(ell + 1):
-            for e, entry in enumerate(profile[:j + 1]):
-                if entry is not None and cost[j - e] + entry[0] < new_cost[j]:
-                    new_cost[j] = cost[j - e] + entry[0]
-                    new_picks[j] = picks[j - e] + ((b, entry[1]),)
+            for e, c, w in steps:
+                if e > j:
+                    break
+                if cost[j - e] + c < new_cost[j]:
+                    new_cost[j] = cost[j - e] + c
+                    new_picks[j] = (b, w, picks[j - e])
         cost, picks = new_cost, new_picks
         if cost[ell] > k:
             return None
 
-    return certify(g, frozenset().union(*(solution_edges(b, w) for b, w in picks[ell])), k, ell)
+    edges, node = set(), picks[ell]
+    while node is not None:
+        b, w, node = node
+        edges |= solution_edges(b, w)
+    return certify(g, edges, k, ell)
 
 
 def solve_2connected(g: Graph, k: int, ell: int, mode: Mode) -> ContractionSolution | None:

@@ -33,6 +33,14 @@ from neartree.witness import WitnessCheck, WitnessStructure, quotient, solution_
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
+def outcome(call):
+    """What call() gives: its value, or (exception type, message) if it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def degree_profile(g: Graph) -> tuple:
     return tuple(sorted(g.degree(v) for v in g.vertices))
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import connected_graphs
+from helpers import connected_graphs, outcome
 
 from neartree.cvc import _boundary, min_connected_vertex_cover, min_shatter
 from neartree.errors import InputError
@@ -141,3 +141,11 @@ class TestShatter:
         for call in (lambda: min_shatter(g, {1, 99}, 2), lambda: _boundary(idx.adj, idx.mask({99}))):
             with pytest.raises(InputError, match="vertex 99 is not in the graph"):
                 call()
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: min_shatter(path_graph([1, 2, 3, 4]), {1, 3}, 3),
+                 (InputError, "shatter needs a set inducing a connected subgraph"), id="disconnected-set"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from helpers import outcome
+
 from neartree import families
 from neartree.errors import InputError, InternalError, SizeCapError
 from neartree.families import (
@@ -176,3 +178,28 @@ class TestColoringFamily:
     def test_unclamped_when_small(self):
         fam = coloring_family(8, 0, 1)  # target 8 = n
         assert fam.k == 8
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: FunctionFamily(2, 2, SPLITTER, 1, ((1, 3),)),
+                 (InputError, "family contains a function outside [n] -> [q]"), id="color-outside"),
+    pytest.param(lambda: build_hash_splitter(0, 1), (InputError, "hash splitter needs n, k >= 1"),
+                 id="hash-n0"),
+    pytest.param(lambda: build_universal_greedy(3, 4, 2),
+                 (InputError, "universal family needs 0 <= k <= n and q >= 1"), id="greedy-k-above-n"),
+    pytest.param(lambda: build_universal_greedy(30, 8, 2),
+                 (SizeCapError, "constraint space 1498348800 exceeds the greedy cap 2000000"),
+                 id="greedy-cap"),
+    pytest.param(lambda: compose_universal(0, 1, 2), (InputError, "composition needs n, k, q >= 1"),
+                 id="compose-n0"),
+    pytest.param(lambda: compose_universal(2, 3, 2), (InputError, "composition needs k <= n"),
+                 id="compose-k-above-n"),
+    pytest.param(lambda: compose_universal(17, 4, 6),
+                 (SizeCapError, "composition would emit 2663424 functions"), id="compose-cap"),
+    pytest.param(lambda: verify_family(FunctionFamily(3, 2, SPLITTER, 0, ())), True,
+                 id="empty-splitter-at-k0"),
+    pytest.param(lambda: verify_family(FunctionFamily(3, 2, "weird", 1, ((1, 2, 1),))),
+                 (InputError, "unknown family kind 'weird'"), id="unknown-kind"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import all_edge_subsets, connected_graphs, subdivide_edge, split_vertex
+from helpers import all_edge_subsets, connected_graphs, outcome, subdivide_edge, split_vertex
 
 from neartree.errors import InputError
 from neartree.graph import (
@@ -13,6 +13,7 @@ from neartree.graph import (
     complete_graph,
     contract_edges,
     cycle_graph,
+    edge,
     excess,
     is_near_tree,
     near_tree_coloring,
@@ -236,3 +237,14 @@ def test_palette_sizes():
     assert palette_size(3) == 6
     assert palette_size(4) == 6
     assert palette_size(5) == 8
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: edge(2, 2), (InputError, "self-loop on vertex 2"), id="edge-self-loop"),
+    pytest.param(lambda: Graph.build([1, 2], [(1, 3)]),
+                 (InputError, "edge (1,3) has an endpoint outside the vertex set"), id="build-outside"),
+    pytest.param(lambda: cycle_graph([1, 2]), (InputError, "a cycle needs at least 3 vertices"),
+                 id="cycle-of-two"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -12,11 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs, hypercube, subdivided_k33, three_long_runs
+from helpers import connected_graphs, hypercube, outcome, subdivided_k33, three_long_runs
 
 import neartree
-from neartree.errors import ParseError
-from neartree.families import build_interval_splitter, coloring_family
+from neartree.errors import InputError, ParseError, SizeCapError
+from neartree.families import (
+    UNIVERSAL,
+    FunctionFamily,
+    build_interval_splitter,
+    coloring_family,
+    verify_family,
+)
 from neartree.graph import (
     Graph,
     Instance,
@@ -26,6 +32,8 @@ from neartree.graph import (
     path_graph,
 )
 from neartree.harness import (
+    RunConfig,
+    _certifies_no,
     gen_hardness_gadget,
     gen_random_instance,
     main,
@@ -34,6 +42,7 @@ from neartree.harness import (
     parse_graph,
     parse_trace,
     parse_witness,
+    run,
     serialize_edge_set,
     serialize_family,
     serialize_graph,
@@ -191,6 +200,11 @@ class TestOtherFormats:
         (parse_family, "family 2 2 interval 1\n1 x\n", "function lines hold integers", 2),
         (parse_family, "family 2 2 interval 1\n1 2\n1 2 1\n", "function length differs from n=2", 3),
         (parse_family, "c only a comment\n", "missing family header", 1),
+        (parse_family, "family -1 2 universal 0\n", "family header counts must be nonnegative", 1),
+        (parse_family, "family 3 -2 universal 1\n", "family header counts must be nonnegative", 1),
+        (parse_family, "family 3 2 universal -1\n1 2 1\n", "family header counts must be nonnegative", 1),
+        (parse_family, "family 2 2 interval 1\n1 3\n", "color outside 1..2", 2),
+        (parse_family, "family 2 2 interval 1\n1 2\n0 1\n", "color outside 1..2", 3),
         (parse_trace, "instance k 1\n", "instance line must be 'instance k <k> ell <ell>'", 1),
         (parse_trace, "instance x 1 ell 0\n", "instance line must be 'instance k <k> ell <ell>'", 1),
         (parse_trace, "instance k 1 ell x\n", "instance budgets must be integers", 1),
@@ -1211,6 +1225,20 @@ class TestCli:
                 assert proc.returncode == 1, (name, mode, proc.stderr)
                 assert proc.stdout.startswith(f"result decision={decision} "), (name, mode)
 
+    def test_a_chain_of_1000_triangles_is_decided_quickly(self, tmp_path):
+        # triangle i on 2i - 1, 2i and 2i + 1: 1,000 blocks at (1, 999), a yes
+        # of cost 1, decided in time linear in the blocks times ell
+        edges = [e for i in range(1, 1001) for e in ((2 * i - 1, 2 * i), (2 * i, 2 * i + 1),
+                                                     (2 * i - 1, 2 * i + 1))]
+        src = tmp_path / "chain.graph"
+        src.write_text(serialize_graph(Graph.build(range(1, 2002), edges)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "neartree.harness", "--mode", "exhaustive",
+             "--k", "1", "--ell", "999", "--in", str(src)],
+            capture_output=True, text=True, env=self._child_env(), timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("result decision=yes cost=1 ")
+
     def test_a_failed_certificate_is_an_error_under_python_O(self, tmp_path, capsys):
         # C5 at k = 3 is a yes in every solving mode; with every witness
         # rejected, the yes must not print, asserts stripped or not
@@ -1229,3 +1257,30 @@ class TestCli:
             assert proc.returncode == 2, (mode, proc.stdout, proc.stderr)
             assert "result" not in proc.stdout, mode
             assert "InternalError" in proc.stderr, mode
+
+
+# a universal family for 10 of 20 positions: verifying it passes the cap
+BIG_UNIVERSAL = FunctionFamily(20, 2, UNIVERSAL, 10, ((1,) * 20,))
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: gen_hardness_gadget(Graph.build([1, 2, 3], [(1, 2)]), 1, 1),
+                 (InputError, "gadget base must be connected"), id="gadget-disconnected"),
+    pytest.param(lambda: gen_hardness_gadget(path_graph([1, 2]), 1, 0),
+                 (InputError, "gadget needs ell >= 1"), id="gadget-ell0"),
+    pytest.param(lambda: gen_random_instance(5, 0, 1, 0, 0),
+                 (InputError, "edge probability must be in (0, 1]"), id="random-p0"),
+    pytest.param(lambda: gen_random_instance(65, 0.5, 1, 0, 0),
+                 (InputError, "n must be in 1..64"), id="random-n65"),
+    pytest.param(lambda: verify_family(BIG_UNIVERSAL),
+                 (SizeCapError, "verification space 189190144 exceeds the cap 4000000"), id="verify-cap"),
+    # so a miss over it certifies nothing: derand prints not-found
+    pytest.param(lambda: _certifies_no(BIG_UNIVERSAL, cycle_graph(range(1, 5)), 1, 0), False,
+                 id="certifies-no-past-the-cap"),
+    pytest.param(lambda: run(RunConfig(mode="family", kind="nosuch")),
+                 (InputError, "unknown family kind 'nosuch'"), id="unknown-family-kind"),
+    pytest.param(lambda: run(RunConfig(mode="nosuch")), (InputError, "unknown mode 'nosuch'"),
+                 id="unknown-mode"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -12,6 +12,7 @@ from helpers import (
     common_neighborhood_reference,
     connected_graphs,
     kernelize_reference,
+    outcome,
     subdivide_paths,
     three_long_runs,
     twin_gadget,
@@ -567,3 +568,14 @@ class TestMinimalSolutionsAvoidLongPaths:
         assert minima
         assert any(all(u not in interior and v not in interior for u, v in f)
                    for f in minima)
+
+
+@pytest.mark.parametrize("call, expected", [
+    # a disconnected graph is a no before any rule runs
+    pytest.param(lambda: kernelize(Instance(Graph.build([1, 2, 3, 4], [(1, 2), (3, 4)]), 1, 0), 2.0)[1],
+                 KernelTrace((), "no"), id="kernelize-disconnected"),
+    pytest.param(lambda: replay(Instance(path_graph([1, 2, 3]), 1, 0), KernelTrace(("fold",), None)),
+                 (InputError, "unknown step 'fold'"), id="replay-unknown-step"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -12,6 +12,7 @@ from helpers import (
     girth,
     glue_blocks,
     hypercube,
+    outcome,
     planted_graph,
     quotient_reference,
     shortest_cycle_through,
@@ -700,3 +701,19 @@ class TestSoundnessChecks:
         self.reject_every_witness(monkeypatch)
         with pytest.raises(InternalError):
             solve(Instance(P5, 0, 0), ExhaustiveColorings())
+
+
+# a wheel of 12 spokes: 13 vertices, all on triangles
+WHEEL13 = Graph.build(range(1, 14), [(i, i % 12 + 1) for i in range(1, 13)] + [(13, i) for i in range(1, 13)])
+
+
+@pytest.mark.parametrize("call, expected", [
+    # min(2^(6k + 8 ell), 10 * 2^13) = 81,920 colorings at (3, 0)
+    pytest.param(lambda: solve(Instance(WHEEL13, 3, 0), RandomColorings(0)),
+                 (SizeCapError, "random mode's default of 81920 colorings for 13 vertices on short "
+                                "cycles passes the cap 65536; give --iters"), id="random-default-cap"),
+    pytest.param(lambda: solve(Instance(complete_graph(range(1, 5)), 1, 0), "fast"),
+                 (InputError, "unknown mode 'fast'"), id="unknown-mode"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected

@@ -8,6 +8,7 @@ from helpers import (
     all_edge_subsets,
     connected_graphs,
     normalize_leaves_reference,
+    outcome,
     quotient_reference,
     set_partitions,
     split_bag,
@@ -325,3 +326,11 @@ def test_checks_build_no_graph_adjacency_or_bfs(monkeypatch):
     assert verify_witness(g, split, 1, 2).reason == "disconnected-bag"
     assert verify_witness(g, singletons, 1, 2).reason == "quotient-outside-class"
     assert verify_witness(g, sol.witness, 0, 2).reason == "quotient-outside-class"
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: witness_from_solution(path_graph([1, 2, 3]), frozenset({(1, 3)})),
+                 (InputError, "solution edges must belong to the graph"), id="edge-outside"),
+])
+def test_refusals(call, expected):
+    assert outcome(call) == expected
