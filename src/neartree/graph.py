@@ -96,9 +96,17 @@ class Graph:
         return tuple(comps)
 
     def is_connected(self) -> bool:
+        """Whether one flood of the adjacency map from any vertex reaches all."""
         if not self.vertices:
             return False
-        return len(self.components()) == 1
+        adj, todo = self.adjacency, [next(iter(self.vertices))]
+        seen = set(todo)
+        while todo:
+            for y in adj[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return len(seen) == self.n
 
 
 def path_graph(ids: Iterable[int]) -> Graph:
@@ -217,27 +225,30 @@ def is_near_tree(g: Graph, ell: int) -> bool:
     return g.is_connected() and g.m <= g.n - 1 + ell
 
 
-def spanning_forest(vertices: Iterable[int], edges: Iterable[Edge]) -> tuple[list[Edge], MergeMap]:
-    """Union-find over `edges` in the order given: the edges that joined two
-    groups (a spanning forest of them), and every vertex's group, named by
-    its smallest member."""
-    parent = {v: v for v in vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def spanning_forest(edges: Iterable[Edge]) -> tuple[list[Edge], MergeMap]:
+    """Union-find over `edges` in the order given, its parent map seeded only
+    by their endpoints: the edges that joined two groups (a spanning forest
+    of them), and the group of every vertex they touch, named by its
+    smallest member.  Any other vertex is its own group, so callers read the
+    map with `.get(v, v)`."""
+    parent: dict[int, int] = {}
     forest = []
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = parent.setdefault(u, u), parent.setdefault(v, v)
+        while ru != (p := parent[ru]):  # path halving
+            parent[ru] = ru = parent[p]
+        while rv != (p := parent[rv]):
+            parent[rv] = rv = parent[p]
         if ru != rv:
             if ru > rv:
                 ru, rv = rv, ru
             parent[rv] = ru
             forest.append((u, v))
-    return forest, {v: find(v) for v in parent}
+    for x, r in parent.items():  # point every vertex at its root
+        while r != (p := parent[r]):
+            r = p
+        parent[x] = r
+    return forest, parent
 
 
 def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, MergeMap]:
@@ -253,14 +264,14 @@ def contract_edges(g: Graph, f: Iterable[tuple[int, int]]) -> tuple[Graph, Merge
     if unknown:
         raise InputError(f"cannot contract edges missing from the graph: {sorted(unknown)}")
 
-    _, merge = spanning_forest(g.vertices, fset)
-    new_vertices = frozenset(merge.values())
+    merge = dict(zip(g.vertices, g.vertices))
+    merge.update(spanning_forest(fset)[1])
     new_edges = set()
     for u, v in g.edges:
         mu, mv = merge[u], merge[v]
         if mu != mv:
-            new_edges.add(edge(mu, mv))
-    return Graph(new_vertices, frozenset(new_edges)), merge
+            new_edges.add((mu, mv) if mu < mv else (mv, mu))
+    return Graph(frozenset(merge.values()), frozenset(new_edges)), merge
 
 
 def biconnected_blocks(g: Graph) -> tuple[tuple[Graph, ...], int]:

@@ -16,6 +16,8 @@ decision=not-found, which certifies nothing, unless the solver decided it
 before any coloring), 2 error.  A yes is checked in
 one place, `witness.certify`, which hands its verified witness on to be
 written; a failed check is an internal error (exit 2, no result line).
+Lift runs the same check, `witness.check_edges`, on the lifted edge set,
+and a set that fails it is a no.
 Exhaustive mode and derand mode without a family file run one solver mode,
 `solver.ExhaustiveColorings`, which takes no seed.  Output files are
 rewritten in place, a regular file cut at the new end, so a failed write
@@ -58,8 +60,8 @@ from .witness import (
     ContractionSolution,
     WitnessStructure,
     certify,
+    check_edges,
     verify_witness,
-    witness_from_solution,
 )
 
 DESK_VERTEX_CAP = 64
@@ -144,7 +146,7 @@ def serialize_graph(g: Graph) -> str:
 # witness and edge-set text formats
 
 def serialize_witness(w: WitnessStructure) -> str:
-    return "\n".join(" ".join(str(v) for v in sorted(b)) for b in w.bags) + "\n"
+    return "\n".join(" ".join(map(str, sorted(b))) if len(b) > 1 else str(*b) for b in w.bags) + "\n"
 
 
 def parse_witness(text: str) -> WitnessStructure:
@@ -267,9 +269,9 @@ def parse_trace(text: str) -> tuple[int, int, KernelTrace]:
                 d = flat.pop(0)
             if len(flat) % 2:
                 raise ParseError("contracted edges come as vertex pairs", lineno)
-            if any(flat[i] == flat[i + 1] for i in range(0, len(flat), 2)):
+            pairs = tuple((u, v) if u < v else (v, u) for u, v in zip(flat[::2], flat[1::2]))
+            if any(u == v for u, v in pairs):
                 raise ParseError("self-loop", lineno)
-            pairs = tuple(edge(flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
             steps.append(LongPathContract(pairs) if d is None else CommonNbrContract(pairs, d))
         else:
             raise ParseError(f"unknown trace line {kind!r}", lineno)
@@ -373,11 +375,17 @@ def _check_inputs(cfg: RunConfig):
 
 def _write(path: str | None, text: str):
     if path is not None:
+        data = text.encode("utf-8")
         # no O_TRUNC: emptying a file before a rewrite costs more than cutting it after
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, done)
+        finally:
+            os.close(fd)
 
 
 def _result_line(decision: bool | None, cost: int, mode: str, seed: int, extra: str = "") -> str:
@@ -459,10 +467,10 @@ def run(cfg: RunConfig) -> int:
             raise InputError(f"solution vertex {outside[0]} outside the reduced graph's 1..{len(order)}")
         f_reduced = frozenset(edge(back[u], back[v]) for u, v in f_reduced)
         lifted = lift_solution(original, trace, f_reduced, (stages, merges))
-        check = verify_witness(g, witness_from_solution(g, lifted), ell0, k0)
+        valid = check_edges(g, lifted, k0, ell0)[0] == "ok"  # yes for a spanning forest within k
         _write(cfg.out, serialize_edge_set(lifted))
-        print(_result_line(check.valid, min(len(lifted), k0 + 1), cfg.mode, cfg.seed))
-        return 0 if check.valid else 1
+        print(_result_line(valid, min(len(lifted), k0 + 1), cfg.mode, cfg.seed))
+        return 0 if valid else 1
 
     instance = Instance(g, cfg.k, cfg.ell)  # the one check of ell; a negative k is a no
     if cfg.mode == "exact":

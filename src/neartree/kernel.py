@@ -100,29 +100,34 @@ def _long_path_edges(g: Graph, k: int) -> list[Edge]:
     are R's neighbors outside it (two for a chain, one when R closes a cycle
     through a single anchor, none when the graph is a cycle).  The longest
     induced path through R has q = |R| - 2 + |anchors| interior vertices, so
-    R gives its first q - (k + 2) edges in sorted order.  Each run is walked
-    both ways from its lowest vertex; runs come in order of that vertex.
+    R gives its first q - (k + 2) edges in sorted order.  Each run's edges are
+    collected on its walk, both ways from any vertex; the runs come in order
+    of their lowest vertex.
     """
     adj = g.adjacency
     seen: set[int] = set()
-    out: list[Edge] = []
-    for start in sorted(v for v, ns in adj.items() if len(ns) == 2):
-        if start in seen:
+    runs: list[tuple[int, list[Edge]]] = []
+    for start, ns in adj.items():
+        if len(ns) != 2 or start in seen:
             continue
-        run, anchors = {start}, set()
-        for cur in adj[start]:
+        run, anchors, inside = {start}, set(), []
+        for cur in ns:
             prev = start
             while len(adj[cur]) == 2 and cur not in run:  # up to an anchor or round a cycle
                 run.add(cur)
+                inside.append((prev, cur) if prev < cur else (cur, prev))
                 a, b = adj[cur]
                 prev, cur = cur, b if a == prev else a
             if len(adj[cur]) != 2:
                 anchors.add(cur)
+            else:  # back at start round a cycle: its last edge, and no second walk
+                inside.append((prev, cur) if prev < cur else (cur, prev))
+                break
         seen |= run
         surplus = len(run) - 2 + len(anchors) - (k + 2)
         if surplus > 0:
-            out += sorted({edge(v, w) for v in run for w in adj[v] if w in run})[:surplus]
-    return out
+            runs.append((min(run), sorted(inside)[:surplus]))
+    return [e for _, es in sorted(runs) for e in es]
 
 
 def reduce_long_paths(instance: Instance) -> tuple[Instance, LongPathContract | None]:

@@ -5,10 +5,12 @@ vertex of the contracted graph, and bag adjacency defines its edges.  The
 cost of a structure is the number of contracted edges it needs, which is
 sum(|bag| - 1) over all bags.
 
-Every check runs on the graph core's one union-find (`spanning_forest`):
-a solution's bags are its merge groups, and verification and the quotient
-share one pass over the edges that finds the bag pairs, with no `Graph`,
-adjacency map or breadth-first search built per check.
+Every check runs on the graph core's one union-find (`spanning_forest`),
+with no `Graph`, adjacency map or breadth-first search built per check.
+`certify` checks a yes's edge set F itself: a spanning forest of its
+groups, its contraction within the class, and |F| <= k; only then is F's
+witness built.  `verify_witness` checks the bags of a witness file, and
+shares the quotient's class test with `certify`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, InternalError
-from .graph import Edge, Graph, edge, spanning_forest
+from .graph import Edge, Graph, MergeMap, edge, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,22 @@ class WitnessStructure:
         return sum(len(b) - 1 for b in self.bags)
 
 
+def _witness(vertices: frozenset[int], group: MergeMap) -> WitnessStructure:
+    """The bags of a union-find's groups, in order of their smallest member;
+    every vertex outside `group` is a singleton."""
+    members: dict[int, list[int]] = {}
+    for v, rep in group.items():
+        members.setdefault(rep, []).append(v)
+    return WitnessStructure(tuple(frozenset(members[v]) if v in members else frozenset((v,))
+                                  for v in sorted(vertices) if group.get(v, v) == v))
+
+
 def witness_from_solution(g: Graph, f: Iterable[tuple[int, int]]) -> WitnessStructure:
     """Bags are the groups of the union-find over f; untouched vertices become singletons."""
     fset = frozenset(edge(u, v) for u, v in f)
     if not fset <= g.edges:
         raise InputError("solution edges must belong to the graph")
-    bags: dict[int, list[int]] = {}
-    for v, rep in spanning_forest(g.vertices, fset)[1].items():
-        bags.setdefault(rep, []).append(v)
-    return WitnessStructure.of(bags.values())
+    return _witness(g.vertices, spanning_forest(fset)[1])
 
 
 def _bag_pairs(g: Graph, w: WitnessStructure) -> tuple[str, frozenset[int] | set[Edge] | None]:
@@ -67,10 +76,17 @@ def _bag_pairs(g: Graph, w: WitnessStructure) -> tuple[str, frozenset[int] | set
             inside.append((u, v))
         else:
             pairs.add((i, j) if i < j else (j, i))
-    forest, merge = spanning_forest(g.vertices, inside)
+    forest, group = spanning_forest(inside)
     if len(forest) != g.n - len(w.bags):
-        return "disconnected-bag", next(b for b in w.bags if len({merge[v] for v in b}) > 1)
+        return "disconnected-bag", next(b for b in w.bags if len({group.get(v, v) for v in b}) > 1)
     return "ok", pairs
+
+
+def _in_class(pairs: set[Edge], nodes: int, ell: int) -> bool:
+    """Whether a quotient on `nodes` vertices with these distinct adjacent
+    pairs is within excess ell of a tree: the pairs' union-find joins
+    nodes - 1 times, and they number at most nodes - 1 + ell."""
+    return len(pairs) <= nodes - 1 + ell and len(spanning_forest(pairs)[0]) == nodes - 1
 
 
 def quotient(g: Graph, w: WitnessStructure) -> Graph:
@@ -105,8 +121,7 @@ def verify_witness(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCh
     status, pairs = _bag_pairs(g, w)
     if status != "ok":
         return WitnessCheck(False, cost, status)
-    nbags = len(w.bags)
-    if len(spanning_forest(range(nbags), pairs)[0]) != nbags - 1 or len(pairs) > nbags - 1 + ell:
+    if not _in_class(pairs, len(w.bags), ell):
         return WitnessCheck(False, cost, "quotient-outside-class")
     if cost > k:
         return WitnessCheck(False, cost, "over-budget")
@@ -115,23 +130,43 @@ def verify_witness(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCh
 
 @dataclass(frozen=True)
 class ContractionSolution:
-    """An edge set F to contract, its value capped at k + 1, and the witness
-    structure it induces, verified by `certify`."""
+    """An edge set F to contract, its size, and the witness structure it
+    induces, checked by `certify`."""
 
     edges: frozenset[Edge]
     cost: int
     witness: WitnessStructure
 
 
+def check_edges(g: Graph, es: frozenset[Edge], k: int, ell: int) -> tuple[str, MergeMap]:
+    """The check of an edge set F of canonical pairs, in one pass over g's
+    edges through F's groups: "ok", or the first failure of "not-a-forest"
+    (F's union-find joins fewer than |F| times), "quotient-outside-class"
+    (the contraction, on n - |F| vertices) and "over-budget" (|F| > k); and
+    F's groups.  An edge of F outside g is an InputError."""
+    if not es <= g.edges:
+        raise InputError("solution edges must belong to the graph")
+    forest, group = spanning_forest(es)
+    if len(forest) != len(es):
+        return "not-a-forest", group
+    pairs = set()
+    for u, v in g.edges:
+        a, b = group.get(u, u), group.get(v, v)
+        if a != b:
+            pairs.add((a, b) if a < b else (b, a))
+    if not _in_class(pairs, g.n - len(es), ell):
+        return "quotient-outside-class", group
+    return ("over-budget" if len(es) > k else "ok"), group
+
+
 def certify(g: Graph, edges: Iterable[tuple[int, int]], k: int, ell: int) -> ContractionSolution:
-    """The one check of a yes: the witness the edges induce must verify
-    within (k, ell), or the answer is a bug and raises InternalError."""
+    """The one check of a yes: the edge set must pass `check_edges` within
+    (k, ell), or the answer is a bug and raises InternalError."""
     es = frozenset(edge(u, v) for u, v in edges)
-    w = witness_from_solution(g, es)
-    check = verify_witness(g, w, ell, k)
-    if not check.valid:
-        raise InternalError(f"solution failed verification ({check.reason})")
-    return ContractionSolution(es, min(len(es), k + 1), w)
+    reason, group = check_edges(g, es, k, ell)
+    if reason != "ok":
+        raise InternalError(f"solution failed verification ({reason})")
+    return ContractionSolution(es, len(es), _witness(g.vertices, group))
 
 
 def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:
@@ -139,7 +174,7 @@ def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:
     forest of each bag, chosen deterministically from sorted edges."""
     bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
     inside = (e for e in sorted(g.edges) if bag_of[e[0]] == bag_of[e[1]])
-    return frozenset(spanning_forest(g.vertices, inside)[0])
+    return frozenset(spanning_forest(inside)[0])
 
 
 def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
@@ -162,7 +197,7 @@ def normalize_leaves(g: Graph, w: WitnessStructure) -> WitnessStructure:
         b, hub = bag[leaf], next(iter(q.neighbors(leaf)))
         u_star = min(v for v in b if g.adjacency[v] & bag[hub])
         inner = sorted((v, x) for v in b for x in g.adjacency[v] & b if v < x)
-        tree_degree = Counter(v for e in spanning_forest(b, inner)[0] for v in e)
+        tree_degree = Counter(v for e in spanning_forest(inner)[0] for v in e)
         v_star = min(v for v in b if tree_degree[v] == 1 and v != u_star)
         bag[leaf], bag[hub] = frozenset({v_star}), bag[hub] | (b - {v_star})
     return WitnessStructure.of(bag.values())

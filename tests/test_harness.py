@@ -479,6 +479,15 @@ class TestCli:
         assert code == 2
         assert "outside the reduced graph's 1..17" in capsys.readouterr().err
 
+    def test_lift_says_no_to_an_edge_set_that_is_not_a_spanning_forest(self, tmp_path, capsys):
+        # K3 at (2, 0): the kernel leaves it as it is, and all three edges
+        # induce one bag of cost 2 <= k, but three edges are no solution
+        k3 = cycle_graph([1, 2, 3])
+        code, _ = self._kernel_exact_lift(tmp_path, k3, 2, 0, solution=k3.edges)
+        assert code == 1
+        assert capsys.readouterr().out.endswith("result decision=no cost=3 mode=lift seed=0\n")
+        assert parse_edge_set((tmp_path / "lifted.txt").read_text()) == k3.edges
+
     def _lift_edited_k2_12_trace(self, tmp_path, capsys, edit) -> tuple[int, str, str]:
         """Kernel K2,12 (hubs 1 and 2) at (1, 0), which deletes four twins,
         then lift the empty solution through the edited trace."""
@@ -1245,8 +1254,7 @@ class TestCli:
         g = tmp_path / "c5.graph"
         g.write_text(serialize_graph(cycle_graph(range(1, 6))))
         script = ("import sys, neartree.harness as harness, neartree.witness as witness\n"
-                  "witness.verify_witness = lambda g, w, ell, k: "
-                  "witness.WitnessCheck(False, w.cost(), 'quotient-outside-class')\n"
+                  "witness.check_edges = lambda g, es, k, ell: ('quotient-outside-class', {})\n"
                   "sys.exit(harness.main(sys.argv[1:]))")
         for mode in ("exact", "exhaustive", "derand", "rand"):
             args = ["--mode", mode, "--k", "3", "--ell", "0", "--iters", "200", "--in", str(g)]

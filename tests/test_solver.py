@@ -55,7 +55,6 @@ from neartree.solver import (
     solve_2connected,
 )
 from neartree.witness import (
-    WitnessCheck,
     WitnessStructure,
     verify_witness,
     witness_from_solution,
@@ -686,10 +685,10 @@ class TestSoundnessChecks:
     def reject_every_witness(monkeypatch):
         import neartree.witness as witness_module
 
-        def reject(g, w, ell, k):
-            return WitnessCheck(False, w.cost(), "quotient-outside-class")
+        def reject(g, es, k, ell):
+            return "quotient-outside-class", {}
 
-        monkeypatch.setattr(witness_module, "verify_witness", reject)
+        monkeypatch.setattr(witness_module, "check_edges", reject)
 
     def test_failed_verification_raises_internal_error(self, monkeypatch):
         self.reject_every_witness(monkeypatch)

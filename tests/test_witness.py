@@ -15,7 +15,7 @@ from helpers import (
     verify_witness_reference,
 )
 
-from neartree.errors import InputError
+from neartree.errors import InputError, InternalError
 from neartree.graph import (
     Graph,
     analyze_connectivity,
@@ -27,6 +27,7 @@ from neartree.graph import (
 from neartree.witness import (
     WitnessStructure,
     certify,
+    check_edges,
     normalize_leaves,
     quotient,
     solution_edges,
@@ -307,6 +308,47 @@ class TestMatchesGraphReference:
         }
         with pytest.raises(InputError, match=r"bag \[3, 5\] does not induce"):
             quotient(g, cases["two split bags, out of order"])
+
+
+class TestCertifyChecksTheEdgeSet:
+    """`certify` checks an edge set F itself: on a forest it agrees with
+    `verify_witness` on the witness F induces, and it refuses a cycle."""
+
+    @staticmethod
+    def is_forest(f) -> bool:
+        # by breadth-first search, apart from the union-find under test
+        touched = {v for e in f for v in e}
+        return len(f) == len(touched) - len(Graph.build(touched, f).components())
+
+    def test_matches_verify_witness_on_every_small_edge_set(self):
+        cycles = 0
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                for f in all_edge_subsets(g, 3):
+                    budgets = [(k, ell) for ell in range(3) for k in (len(f) - 1, len(f))]
+                    if not self.is_forest(f):
+                        cycles += 1
+                        for k, ell in budgets:
+                            with pytest.raises(InternalError, match=r"\(not-a-forest\)"):
+                                certify(g, f, k, ell)
+                        continue
+                    w = witness_from_solution(g, f)
+                    for k, ell in budgets:
+                        check = verify_witness(g, w, ell, k)
+                        if check.valid:
+                            sol = certify(g, f, k, ell)
+                            assert (sol.edges, sol.cost, sol.witness) == (frozenset(f), len(f), w)
+                        else:
+                            with pytest.raises(InternalError, match=rf"\({check.reason}\)"):
+                                certify(g, f, k, ell)
+        assert cycles
+
+    def test_k3_is_not_certified_by_its_three_edges(self):
+        k3 = cycle_graph([1, 2, 3])
+        with pytest.raises(InternalError, match=r"solution failed verification \(not-a-forest\)"):
+            certify(k3, k3.edges, 2, 0)
+        assert check_edges(k3, k3.edges, 3, 1)[0] == "not-a-forest"
+        assert certify(k3, [(1, 2), (2, 3)], 2, 0).cost == 2
 
 
 def test_checks_build_no_graph_adjacency_or_bfs(monkeypatch):
