@@ -7,10 +7,11 @@ sum(|bag| - 1) over all bags.
 
 Every check runs on the graph core's one union-find (`spanning_forest`),
 with no `Graph`, adjacency map or breadth-first search built per check.
-`certify` checks a yes's edge set F itself: a spanning forest of its
-groups, its contraction within the class, and |F| <= k; only then is F's
-witness built.  `verify_witness` checks the bags of a witness file, and
-shares the quotient's class test with `certify`.
+`check_edges` is the one test of a contraction and of its class: an edge
+set F must be a spanning forest of its groups, its contraction within the
+class, and |F| <= k.  It checks a yes's F in `certify` (only then is F's
+witness built), each candidate of the oracle, and the spanning forest of a
+witness file's bags in `verify_witness`, once they are found connected.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, InternalError
-from .graph import Edge, Graph, MergeMap, edge, spanning_forest
+from .graph import Edge, Graph, MergeMap, contract_edges, edge, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -58,50 +59,33 @@ def witness_from_solution(g: Graph, f: Iterable[tuple[int, int]]) -> WitnessStru
     return _witness(g.vertices, spanning_forest(fset)[1])
 
 
-def _bag_pairs(g: Graph, w: WitnessStructure) -> tuple[str, frozenset[int] | set[Edge] | None]:
-    """One pass over g's edges: ("ok", the pairs of bag indices an edge
-    joins), ("not-partition", None) or ("disconnected-bag", the first bag,
-    in bag order, that does not induce a connected subgraph).
-
-    The edges inside bags go to one union-find; since its groups refine the
-    bags, every bag is connected exactly when its forest has n - #bags edges.
+def _bag_forest(g: Graph, w: WitnessStructure) -> tuple[str, frozenset[Edge] | str]:
+    """The check of a witness's bags: ("ok", their spanning forest from
+    `solution_edges`), or "not-partition" or "disconnected-bag" and the
+    error's message, which names the first bag, in bag order, that does not
+    induce a connected subgraph.  The forest's groups refine the bags, so
+    every bag is connected exactly when the forest has n - #bags edges.
     """
-    bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
-    if not all(w.bags) or len(bag_of) != sum(map(len, w.bags)) or bag_of.keys() != g.vertices:
-        return "not-partition", None
-    inside, pairs = [], set()
-    for u, v in g.edges:
-        i, j = bag_of[u], bag_of[v]
-        if i == j:
-            inside.append((u, v))
-        else:
-            pairs.add((i, j) if i < j else (j, i))
-    forest, group = spanning_forest(inside)
+    if not all(w.bags) or sum(map(len, w.bags)) != g.n or frozenset().union(*w.bags) != g.vertices:
+        return "not-partition", "bags do not partition the vertex set"
+    forest = solution_edges(g, w)
     if len(forest) != g.n - len(w.bags):
-        return "disconnected-bag", next(b for b in w.bags if len({group.get(v, v) for v in b}) > 1)
-    return "ok", pairs
-
-
-def _in_class(pairs: set[Edge], nodes: int, ell: int) -> bool:
-    """Whether a quotient on `nodes` vertices with these distinct adjacent
-    pairs is within excess ell of a tree: the pairs' union-find joins
-    nodes - 1 times, and they number at most nodes - 1 + ell."""
-    return len(pairs) <= nodes - 1 + ell and len(spanning_forest(pairs)[0]) == nodes - 1
+        group = spanning_forest(forest)[1]
+        bad = next(b for b in w.bags if len({group.get(v, v) for v in b}) > 1)
+        return "disconnected-bag", f"bag {sorted(bad)} does not induce a connected subgraph"
+    return "ok", forest
 
 
 def quotient(g: Graph, w: WitnessStructure) -> Graph:
     """Contract every bag to a single vertex named by its smallest member.
 
-    Matches the naming convention of contract_edges, so quotients and
+    It is `contract_edges` of the bags' spanning forest, so quotients and
     contractions compare by equality rather than just isomorphism.
     """
-    status, found = _bag_pairs(g, w)
-    if status == "not-partition":
-        raise InputError("bags do not partition the vertex set")
-    if status == "disconnected-bag":
-        raise InputError(f"bag {sorted(found)} does not induce a connected subgraph")
-    rep = [min(b) for b in w.bags]
-    return Graph(frozenset(rep), frozenset(edge(rep[i], rep[j]) for i, j in found))
+    status, found = _bag_forest(g, w)
+    if status != "ok":
+        raise InputError(found)
+    return contract_edges(g, found)[0]
 
 
 @dataclass(frozen=True)
@@ -112,20 +96,13 @@ class WitnessCheck:
 
 
 def verify_witness(g: Graph, w: WitnessStructure, ell: int, k: int) -> WitnessCheck:
-    """Full validity check; never raises, reports the first failing condition.
-
-    The quotient is within excess ell of a tree when its bag pairs connect
-    all #bags vertices and number at most #bags - 1 + ell.
-    """
-    cost = w.cost()
-    status, pairs = _bag_pairs(g, w)
-    if status != "ok":
-        return WitnessCheck(False, cost, status)
-    if not _in_class(pairs, len(w.bags), ell):
-        return WitnessCheck(False, cost, "quotient-outside-class")
-    if cost > k:
-        return WitnessCheck(False, cost, "over-budget")
-    return WitnessCheck(True, cost, "ok")
+    """Full validity check; never raises, reports the first failing condition:
+    the bags' own check, then `check_edges` on their spanning forest, whose
+    size is the witness's cost."""
+    status, forest = _bag_forest(g, w)
+    if status == "ok":
+        status = check_edges(g, forest, k, ell)[0]
+    return WitnessCheck(status == "ok", w.cost(), status)
 
 
 @dataclass(frozen=True)
@@ -139,11 +116,13 @@ class ContractionSolution:
 
 
 def check_edges(g: Graph, es: frozenset[Edge], k: int, ell: int) -> tuple[str, MergeMap]:
-    """The check of an edge set F of canonical pairs, in one pass over g's
-    edges through F's groups: "ok", or the first failure of "not-a-forest"
-    (F's union-find joins fewer than |F| times), "quotient-outside-class"
-    (the contraction, on n - |F| vertices) and "over-budget" (|F| > k); and
-    F's groups.  An edge of F outside g is an InputError."""
+    """The one test of a contraction, for an edge set F of canonical pairs,
+    in one pass over g's edges through F's groups: "ok", or the first
+    failure of "not-a-forest" (F's union-find joins fewer than |F| times),
+    "quotient-outside-class" and "over-budget" (|F| > k); and F's groups.
+    The contraction, on n - |F| vertices, is within excess ell of a tree when
+    its distinct pairs' union-find joins n - |F| - 1 times and they number at
+    most n - |F| - 1 + ell.  An edge of F outside g is an InputError."""
     if not es <= g.edges:
         raise InputError("solution edges must belong to the graph")
     forest, group = spanning_forest(es)
@@ -154,7 +133,8 @@ def check_edges(g: Graph, es: frozenset[Edge], k: int, ell: int) -> tuple[str, M
         a, b = group.get(u, u), group.get(v, v)
         if a != b:
             pairs.add((a, b) if a < b else (b, a))
-    if not _in_class(pairs, g.n - len(es), ell):
+    nodes = g.n - len(es)
+    if len(pairs) > nodes - 1 + ell or len(spanning_forest(pairs)[0]) != nodes - 1:
         return "quotient-outside-class", group
     return ("over-budget" if len(es) > k else "ok"), group
 
@@ -173,7 +153,7 @@ def solution_edges(g: Graph, w: WitnessStructure) -> frozenset[Edge]:
     """A minimum edge set whose contraction realizes the witness: a spanning
     forest of each bag, chosen deterministically from sorted edges."""
     bag_of = {v: i for i, b in enumerate(w.bags) for v in b}
-    inside = (e for e in sorted(g.edges) if bag_of[e[0]] == bag_of[e[1]])
+    inside = sorted(e for e in g.edges if bag_of[e[0]] == bag_of[e[1]])
     return frozenset(spanning_forest(inside)[0])
 
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,7 +6,15 @@ import pytest
 from helpers import connected_graphs, subdivide_edge
 
 from neartree.errors import SizeCapError
-from neartree.graph import Graph, Instance, complete_graph, cycle_graph, path_graph
+from neartree.graph import (
+    Graph,
+    Instance,
+    complete_graph,
+    contract_edges,
+    cycle_graph,
+    is_near_tree,
+    path_graph,
+)
 from neartree.oracle import WORK_CAP, exact_decide, exact_opt
 from neartree.witness import verify_witness, witness_from_solution
 
@@ -47,6 +56,25 @@ class TestExactOpt:
         for g, k in ((subdivide_edge(k38, (1, 4)), 6), (cycle_graph(range(1, 74)), 3)):
             with pytest.raises(SizeCapError, match="oracle refuses"):
                 exact_opt(g, 0, k)
+
+    def test_first_hit_of_a_contraction_reference(self):
+        # the reference does not call check_edges: each subset, in
+        # size-then-lexicographic order, is contracted by contract_edges and
+        # its quotient tested by is_near_tree; the subsets are listed once
+        # per graph, and the first hit at each ell answers every k
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                first: dict[int, tuple[frozenset, int]] = {}
+                for size in range(min(3, g.m) + 1):
+                    for subset in combinations(sorted(g.edges), size):
+                        q = contract_edges(g, subset)[0]
+                        for ell in range(3):
+                            if ell not in first and is_near_tree(q, ell):
+                                first[ell] = frozenset(subset), size
+                for ell in range(3):
+                    for k in range(4):
+                        hit = first.get(ell)
+                        assert exact_opt(g, ell, k) == (hit if hit and hit[1] <= k else None)
 
 
 class TestExactDecide:

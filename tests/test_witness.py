@@ -311,8 +311,9 @@ class TestMatchesGraphReference:
 
 
 class TestCertifyChecksTheEdgeSet:
-    """`certify` checks an edge set F itself: on a forest it agrees with
-    `verify_witness` on the witness F induces, and it refuses a cycle."""
+    """`certify` checks an edge set F itself: on a forest it agrees with the
+    graph-based reference check of the witness F induces, and it refuses a
+    cycle."""
 
     @staticmethod
     def is_forest(f) -> bool:
@@ -334,7 +335,7 @@ class TestCertifyChecksTheEdgeSet:
                         continue
                     w = witness_from_solution(g, f)
                     for k, ell in budgets:
-                        check = verify_witness(g, w, ell, k)
+                        check = verify_witness_reference(g, w, ell, k)
                         if check.valid:
                             sol = certify(g, f, k, ell)
                             assert (sol.edges, sol.cost, sol.witness) == (frozenset(f), len(f), w)
